@@ -576,6 +576,12 @@ def intertwiner_space(gens_a, gens_b) -> Subspace:
 
     The result lives in the n^2-dimensional matrix space, flattened row by
     row.  The two assignments must share the label set and the dimension.
+
+    Labels are solved one at a time, the sparsest first so that the span
+    has shrunk before dense matrices multiply through it.  Each keeps the
+    combinations sum c_i S_i of the span so far (basis S_1..S_k, at first
+    the n^2 matrix units) whose residuals M_a(g) S_i - S_i M_b(g) cancel: a
+    solve in k unknowns.  The reduced-echelon result is order-independent.
     """
     if set(gens_a) != set(gens_b):
         raise LinAlgError('generator label mismatch')
@@ -590,21 +596,18 @@ def intertwiner_space(gens_a, gens_b) -> Subspace:
             if not m.is_square() or m.rows != n:
                 raise LinAlgError('intertwiner_space needs equal square '
                                   'dimensions on both sides')
-    rows = []
+    labels.sort(key=lambda g: (
+        sum(map(bool, _flatten(gens_a[g]) + _flatten(gens_b[g]))), g))
+    basis = ExactMatrix.identity(ctx, n * n).data
     for g in labels:
         a, b = gens_a[g], gens_b[g]
-        for i in range(n):
-            for j in range(n):
-                row = [ctx.zero] * (n * n)
-                for k in range(n):
-                    if a.data[i][k]:
-                        row[k * n + j] = row[k * n + j] + a.data[i][k]
-                for l in range(n):
-                    if b.data[l][j]:
-                        row[i * n + l] = row[i * n + l] - b.data[l][j]
-                rows.append(row)
-    return Subspace.from_vectors(ctx, n * n,
-                                 _nullspace_vectors(ctx, rows, n * n))
+        residuals = [_flatten(a * s - s * b)
+                     for s in (matrix_from_flat(ctx, v, n) for v in basis)]
+        coeffs = _nullspace_vectors(ctx, zip(*residuals), len(basis))
+        if not coeffs:
+            return Subspace.zero(ctx, n * n)
+        basis = (ExactMatrix(ctx, coeffs) * ExactMatrix(ctx, basis)).data
+    return Subspace.from_vectors(ctx, n * n, basis)
 
 
 def matrix_from_flat(ctx, flat, n) -> ExactMatrix:

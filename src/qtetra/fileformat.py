@@ -79,7 +79,8 @@ def _checked_toplevel(doc, required: tuple) -> None:
     if not isinstance(doc, dict):
         raise FileFormatError('document must be a JSON object')
     version = doc.get('schema_version')
-    if version != SCHEMA_VERSION:
+    # JSON true is a Python bool, and True == 1
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise FileFormatError(
             f'unsupported schema_version {version!r} '
             f'(expected {SCHEMA_VERSION})')
@@ -119,7 +120,7 @@ class ModuleFile:
         if algebra_id not in GENERATORS:
             raise FileFormatError(f'unknown algebra_id {algebra_id!r}')
         dimension = doc['dimension']
-        if not isinstance(dimension, int) or dimension < 1:
+        if type(dimension) is not int or dimension < 1:
             raise FileFormatError('dimension must be a positive integer')
         gens = doc['generators']
         expected = set(GENERATORS[algebra_id])
@@ -182,7 +183,7 @@ class PairFile:
         if doc['kind'] != PAIR_KIND:
             raise FileFormatError(f'unknown pair kind {doc["kind"]!r}')
         dimension = doc['dimension']
-        if not isinstance(dimension, int) or dimension < 1:
+        if type(dimension) is not int or dimension < 1:
             raise FileFormatError('dimension must be a positive integer')
         matrices = doc['matrices']
         if not isinstance(matrices, dict) or set(matrices) != {'X', 'Y'}:

@@ -32,6 +32,9 @@ _FIELD, _Q = field('q', QQ)
 
 SYMBOLIC_MODE = 'symbolic'
 SPECIALIZED_MODE = 'specialized'
+# Largest exponent of q in scalar text, so reading cost cannot grow with it;
+# the highest qtetra writes itself is 49 (the reconstructed d = 5 x13).
+MAX_EXPONENT = 1000
 
 
 class ScalarError(ValueError):
@@ -313,6 +316,9 @@ class _Parser:
         if self.peek() == '^':
             self.take('^')
             exp = self.take('int')[1]
+            if exp > MAX_EXPONENT:
+                raise ScalarError(f'exponent {exp} of q exceeds the bound '
+                                  f'{MAX_EXPONENT}')
         return _FIELD(coeff) * _Q ** exp
 
     def parse_poly(self):

@@ -48,9 +48,6 @@ DIAMETERS = tuple(range(6))
 SYMBOLIC_KEY = 'symbolic'
 ORDERED_LABELS = tuple((i, (i + k) % 4) for k in (1, 2) for i in range(4))
 
-VERDICTS = {}
-ELAPSED = {}
-
 
 def field_ctx(qkey):
     if qkey == SYMBOLIC_KEY:
@@ -100,16 +97,23 @@ def tensor_dec(qkey, i, j):
     return decomposition_ij(tensor_built(qkey), i, j)
 
 
-def _run_symbolic(number, name, fn):
+@lru_cache(maxsize=None)
+def symbolic_outcome(number):
+    """(verdict, note or exception, seconds) of criterion ``number`` over
+    Q(q); run on first use, so any test may ask for any criterion."""
     start = time.perf_counter()
     try:
-        ok, extra = fn(SYMBOLIC_KEY)
-    except Exception:
-        VERDICTS[(SYMBOLIC_KEY, number)] = False
+        ok, extra = CRITERIA[number](SYMBOLIC_KEY)
+    except Exception as exc:
+        return False, exc, time.perf_counter() - start
+    return ok, extra, time.perf_counter() - start
+
+
+def _run_symbolic(number, name):
+    ok, extra, _ = symbolic_outcome(number)
+    if isinstance(extra, Exception):
         print(f'criterion {number:2d} [{name}]: FAIL (exception)')
-        raise
-    ELAPSED[(SYMBOLIC_KEY, number)] = time.perf_counter() - start
-    VERDICTS[(SYMBOLIC_KEY, number)] = ok
+        raise extra
     note = f'  ({extra})' if extra else ''
     print(f'criterion {number:2d} [{name}]: '
           f'{"PASS" if ok else "FAIL"}{note}')
@@ -131,7 +135,7 @@ def crit_relations(qkey):
 
 
 def test_criterion_01_relations():
-    _run_symbolic(1, 'relation exactness', crit_relations)
+    _run_symbolic(1, 'relation exactness')
 
 
 # -- 2: all 8 generators semisimple with the stated spectrum ---------------
@@ -151,7 +155,7 @@ def crit_spectra(qkey):
 
 
 def test_criterion_02_spectra():
-    _run_symbolic(2, 'generator spectra', crit_spectra)
+    _run_symbolic(2, 'generator spectra')
 
 
 # -- 3: one palindromic shape shared by all generators ---------------------
@@ -169,7 +173,7 @@ def crit_shape(qkey):
 
 
 def test_criterion_03_shape():
-    _run_symbolic(3, 'shape palindrome', crit_shape)
+    _run_symbolic(3, 'shape palindrome')
 
 
 # -- 4: both action tables, every row, every i, every n --------------------
@@ -187,7 +191,7 @@ def crit_tables(qkey):
 
 
 def test_criterion_04_action_tables():
-    _run_symbolic(4, 'action tables', crit_tables)
+    _run_symbolic(4, 'action tables')
 
 
 # -- 5: flags pairwise opposite; intersections recover decompositions ------
@@ -212,7 +216,7 @@ def crit_flags(qkey):
 
 
 def test_criterion_05_flags():
-    _run_symbolic(5, 'flag recovery', crit_flags)
+    _run_symbolic(5, 'flag recovery')
 
 
 # -- 6: module -> pair -> module round trip is the identity ----------------
@@ -228,7 +232,7 @@ def crit_roundtrip(qkey):
 
 
 def test_criterion_06_roundtrip():
-    _run_symbolic(6, 'round trip', crit_roundtrip)
+    _run_symbolic(6, 'round trip')
 
 
 # -- 7: Burnside certificates: full for the test modules, not full at
@@ -249,7 +253,7 @@ def crit_irreducibility(qkey):
 
 
 def test_criterion_07_irreducibility():
-    _run_symbolic(7, 'irreducibility', crit_irreducibility)
+    _run_symbolic(7, 'irreducibility')
 
 
 # -- 8: chain identities: dimension equalities, subspace-sum identity
@@ -271,7 +275,7 @@ def crit_chain(qkey):
 
 
 def test_criterion_08_chain():
-    _run_symbolic(8, 'chain identities', crit_chain)
+    _run_symbolic(8, 'chain identities')
 
 
 # -- 9: twists and duals stay modules; trivial twists have invertible
@@ -308,7 +312,7 @@ def crit_dualities(qkey):
 
 
 def test_criterion_09_dualities():
-    _run_symbolic(9, 'duality transforms', crit_dualities)
+    _run_symbolic(9, 'duality transforms')
 
 
 # -- 10: the whole battery again at q = 2, same verdicts, fast -------------
@@ -327,24 +331,23 @@ CRITERIA = {
 
 
 def test_criterion_10_performance():
-    symbolic_total = sum(
-        ELAPSED.get((SYMBOLIC_KEY, n), 0.0) for n in CRITERIA)
+    outcomes = {n: symbolic_outcome(n) for n in CRITERIA}
+    symbolic_total = sum(seconds for _, _, seconds in outcomes.values())
     start = time.perf_counter()
-    agreement = True
+    disagree = []
     for number, fn in CRITERIA.items():
         try:
             verdict, _ = fn('2')
         except Exception:
             verdict = False
-        agreement = (agreement
-                     and verdict is VERDICTS.get((SYMBOLIC_KEY, number)))
+        if verdict is not outcomes[number][0]:
+            disagree.append(number)
     specialized_elapsed = time.perf_counter() - start
-    ok = (agreement and specialized_elapsed < 30.0
+    ok = (not disagree and specialized_elapsed < 30.0
           and symbolic_total < 600.0)
-    VERDICTS[(SYMBOLIC_KEY, 10)] = ok
     print(f'criterion 10 [performance envelope]: '
           f'{"PASS" if ok else "FAIL"}  '
           f'(symbolic battery {symbolic_total:.0f}s, '
           f'q=2 rerun {specialized_elapsed:.1f}s, '
-          f'verdicts agree: {agreement})')
+          f'verdicts disagree on: {disagree or "none"})')
     assert ok, 'criterion 10 (performance envelope) failed'

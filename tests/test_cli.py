@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
 from qtetra.cli import main
 from qtetra.fileformat import ModuleFile, PairFile, parse_document
+from qtetra.scalars import MAX_EXPONENT
 
 
 def run(*argv):
@@ -155,6 +157,49 @@ def test_reconstruct_structural_failure(tmp_path, capsys):
     write_json(path, pair)
     assert run('reconstruct', path) == 2
     assert 'spectrum mismatch' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize('key', ['schema_version', 'dimension'])
+def test_boolean_integer_fields_rejected(key, tmp_path, capsys):
+    # JSON true is a Python bool and True == 1, yet it is no integer
+    pair = {'schema_version': 1, 'kind': 'aq_pair', 'dimension': 1,
+            'field': {'mode': 'symbolic'},
+            'matrices': {'X': [['1']], 'Y': [['1']]}}
+    pair[key] = True
+    path = str(tmp_path / 'pair.json')
+    write_json(path, pair)
+    assert run('reconstruct', path) == 1
+    assert key in capsys.readouterr().err
+    triv = str(tmp_path / 'triv.json')
+    pair[key] = 1
+    write_json(path, pair)
+    assert run('reconstruct', path, '--out', triv) == 0
+    doc = read_json(triv)
+    doc[key] = True
+    write_json(triv, doc)
+    assert run('verify-relations', triv) == 1
+    assert key in capsys.readouterr().err
+
+
+def test_exponent_above_bound_rejected_fast(files, tmp_path, capsys):
+    doc = read_json(files['mod'])
+    doc['generators']['x01'][0][1] = f'q^{MAX_EXPONENT + 1}'
+    path = str(tmp_path / 'huge.json')
+    write_json(path, doc)
+    start = time.process_time()
+    assert run('verify-relations', path) == 1
+    assert time.process_time() - start < 5.0
+    assert 'exceeds the bound' in capsys.readouterr().err
+
+
+def test_reconstructed_symbolic_file_round_trips(tmp_path):
+    ev = str(tmp_path / 'ev3.json')
+    mod = str(tmp_path / 'mod3.json')
+    assert run('build', 'evaluation', '--d', '3', '--t', 'q + 1',
+               '--out', ev) == 0
+    assert run('reconstruct', ev, '--out', mod) == 0
+    text = open(mod).read()
+    assert parse_document(text).to_json() == text
 
 
 def test_reconstruct_rejects_boxq_input(files):

@@ -29,6 +29,11 @@ from qtetra.repbuilder import (
 )
 from qtetra.reconstruct import reconstruct_boxq
 from qtetra.scalars import SYMBOLIC
+from test_exactla import (
+    all_equations_intertwiner_space,
+    boxq_q2,
+    direct_sum,
+)
 
 CTX = SYMBOLIC
 Q = CTX.q
@@ -197,3 +202,28 @@ def test_transforms_require_boxq():
                eightfold_comparison, omega_form):
         with pytest.raises(DualityError):
             fn(loop)
+
+
+def _brute_force_eightfold(mod):
+    """All 28 pairs solved outright, as before the relabelling shortcut."""
+    dual = dual_module(mod)
+    family = [twist_rho(mod, n) for n in range(4)]
+    family += [twist_rho(dual, n) for n in range(4)]
+    return tuple(tuple(i == j or isomorphic(family[i], family[j]) is not None
+                       for j in range(8)) for i in range(8))
+
+
+@pytest.mark.parametrize('which', ['direct sum', 'symbolic d = 1'])
+def test_eightfold_and_omega_form_match_all_equations(which, monkeypatch):
+    if which == 'direct sum':
+        mod = direct_sum(boxq_q2(1, '3'), boxq_q2(0, '1'))
+    else:
+        mod = boxq_module(1, 'q + 1')
+    table = eightfold_comparison(mod)
+    form = omega_form(mod).to_dict()
+    # rows alternate, so a shortcut that misplaces a cell shows
+    assert table.isomorphic[0] == (True, False) * 4
+    monkeypatch.setattr('qtetra.dualities.intertwiner_space',
+                        all_equations_intertwiner_space)
+    assert table.isomorphic == _brute_force_eightfold(mod)
+    assert form == omega_form(mod).to_dict()

@@ -1,7 +1,10 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qtetra.exactla import (
     Decomposition,
@@ -18,6 +21,15 @@ from qtetra.exactla import (
     subspace_intersect,
     subspace_sum,
     Subspace,
+    _nullspace_vectors,
+)
+from qtetra.dualities import negate
+from qtetra.reconstruct import reconstruct_boxq
+from qtetra.repbuilder import (
+    EvaluationParams,
+    MatrixRep,
+    aq_pair_of,
+    evaluation_module,
 )
 from qtetra.scalars import SYMBOLIC, specialized
 
@@ -272,3 +284,158 @@ def test_specialize_matrix():
     m = specialize_matrix(lower(), ctx2)
     assert m.data[0][0] == Fraction(1, 2)
     assert m.ctx == ctx2
+
+
+# -- the staged solve against the all-equations solve ----------------------
+
+def all_equations_intertwiner_space(gens_a, gens_b):
+    """Reference: every label's n^2 equations in n^2 unknowns at once."""
+    labels = sorted(gens_a)
+    first = gens_a[labels[0]]
+    ctx, n = first.ctx, first.rows
+    rows = []
+    for g in labels:
+        a, b = gens_a[g], gens_b[g]
+        for i in range(n):
+            for j in range(n):
+                row = [ctx.zero] * (n * n)
+                for k in range(n):
+                    if a.data[i][k]:
+                        row[k * n + j] = row[k * n + j] + a.data[i][k]
+                for l in range(n):
+                    if b.data[l][j]:
+                        row[i * n + l] = row[i * n + l] - b.data[l][j]
+                rows.append(row)
+    return Subspace.from_vectors(ctx, n * n,
+                                 _nullspace_vectors(ctx, rows, n * n))
+
+
+Q2 = specialized(2)
+
+
+@lru_cache(maxsize=None)
+def boxq_q2(d, t):
+    X, Y = aq_pair_of(evaluation_module(EvaluationParams(d, t), Q2))
+    return reconstruct_boxq(X, Y)
+
+
+def direct_sum(*mods):
+    ctx = mods[0].ctx
+    n = sum(m.dimension for m in mods)
+    gens = {}
+    for g in mods[0].gens:
+        rows = [[ctx.zero] * n for _ in range(n)]
+        offset = 0
+        for m in mods:
+            for i, row in enumerate(m.gens[g].data):
+                rows[offset + i][offset:offset + m.dimension] = row
+            offset += m.dimension
+        gens[g] = ExactMatrix(ctx, rows)
+    return MatrixRep(mods[0].algebra_id, ctx, gens)
+
+
+def conjugate(mod, p):
+    p_inv = p.inverse()
+    return {g: p_inv * m * p for g, m in mod.gens.items()}
+
+
+def _q2_module(kind):
+    if kind == 'sum':
+        return direct_sum(boxq_q2(1, '3'), boxq_q2(1, '3'))
+    if kind == 'mixed':
+        return direct_sum(boxq_q2(0, '1'), boxq_q2(1, '1'))
+    d, t = kind
+    return boxq_q2(d, t)
+
+
+MODULES = st.sampled_from([(0, '1'), (1, '1'), (1, '3'), (2, '2'),
+                           'sum', 'mixed'])
+
+
+@st.composite
+def invertible_matrices(draw, n):
+    """L * U with L unit lower and U unit upper triangular."""
+    entries = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                            min_size=n * n, max_size=n * n))
+    cell = [entries[i * n:(i + 1) * n] for i in range(n)]
+    lower = [[cell[i][j] if j < i else int(i == j) for j in range(n)]
+             for i in range(n)]
+    upper = [[cell[i][j] if j > i else int(i == j) for j in range(n)]
+             for i in range(n)]
+    return ExactMatrix.from_rows(Q2, lower) * ExactMatrix.from_rows(Q2, upper)
+
+
+@st.composite
+def module_pairs(draw):
+    """A q = 2 module against a conjugate of it, its negation (an empty
+    space), or a conjugate with x01 shifted by the identity."""
+    mod = _q2_module(draw(MODULES))
+    other = draw(st.sampled_from(['conjugate', 'negate', 'shifted']))
+    if other == 'negate':
+        gens_b = negate(mod).gens
+    else:
+        gens_b = conjugate(mod, draw(invertible_matrices(mod.dimension)))
+        if other == 'shifted':
+            gens_b['x01'] = gens_b['x01'] + ExactMatrix.identity(
+                Q2, mod.dimension)
+    return mod.gens, gens_b
+
+
+@st.composite
+def generic_pairs(draw):
+    """Three labels of small integer matrices, doubled or not, against a
+    conjugate in which one label may be changed: no relation among the
+    labels makes any of them redundant."""
+    n = draw(st.integers(min_value=1, max_value=2))
+    entries = st.integers(min_value=-2, max_value=2)
+    gens = {g: ExactMatrix.from_rows(Q2, draw(st.lists(
+                st.lists(entries, min_size=n, max_size=n),
+                min_size=n, max_size=n)))
+            for g in 'abc'}
+    mod = MatrixRep('generic', Q2, gens)
+    if draw(st.booleans()):
+        mod = direct_sum(mod, mod)
+    gens_b = conjugate(mod, draw(invertible_matrices(mod.dimension)))
+    changed = draw(st.sampled_from(['a', 'b', 'c', None]))
+    if changed:
+        gens_b[changed] = gens_b[changed] + ExactMatrix.identity(
+            Q2, mod.dimension)
+    return mod.gens, gens_b
+
+
+PROPERTY = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY
+@given(module_pairs())
+def test_staged_intertwiner_matches_all_equations(pair):
+    gens_a, gens_b = pair
+    assert (intertwiner_space(gens_a, gens_b)
+            == all_equations_intertwiner_space(gens_a, gens_b))
+
+
+@PROPERTY
+@given(generic_pairs())
+def test_staged_intertwiner_matches_all_equations_generic(pair):
+    gens_a, gens_b = pair
+    assert (intertwiner_space(gens_a, gens_b)
+            == all_equations_intertwiner_space(gens_a, gens_b))
+
+
+def test_staged_intertwiner_spaces_cover_dimensions():
+    # the property test reaches empty, one- and higher-dimensional spaces
+    one = boxq_q2(1, '3')
+    assert intertwiner_space(one.gens, negate(one).gens).dim == 0
+    assert intertwiner_space(one.gens, one.gens).dim == 1
+    double = direct_sum(one, one)
+    assert intertwiner_space(double.gens, double.gens).dim == 4
+
+
+def test_staged_intertwiner_symbolic():
+    X, Y = aq_pair_of(evaluation_module(EvaluationParams(1, 'q + 1')))
+    mod = reconstruct_boxq(X, Y)
+    moved = conjugate(mod, ExactMatrix.from_rows(CTX, [[1, 2], [-1, 3]]))
+    space = intertwiner_space(mod.gens, moved)
+    assert space.dim == 1
+    assert space == all_equations_intertwiner_space(mod.gens, moved)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qtetra.scalars import (
+    MAX_EXPONENT,
     SYMBOLIC,
     ScalarError,
     SpecializationError,
@@ -146,6 +147,14 @@ def test_parse_tolerates_tight_spacing():
 
 def test_parse_rejects_junk():
     for bad in ('q +', '3..', '(q', 'x + 1', '(q)/(0)', 'q^', '1/(q)'):
+        with pytest.raises(ScalarError):
+            parse_text(bad)
+
+
+def test_parse_bounds_exponents():
+    assert parse_text(f'q^{MAX_EXPONENT}') == SYMBOLIC.q ** MAX_EXPONENT
+    for bad in (f'q^{MAX_EXPONENT + 1}', f'(1)/(q^{MAX_EXPONENT + 1})',
+                'q^1000000'):
         with pytest.raises(ScalarError):
             parse_text(bad)
 
