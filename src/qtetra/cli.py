@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from fractions import Fraction
 
 from qtetra.dualities import (
     DualityError,
@@ -20,7 +18,7 @@ from qtetra.dualities import (
     omega_form,
     twist_rho,
 )
-from qtetra.exactla import specialize_matrix
+from qtetra.exactla import LinAlgError, default_word_cap, specialize_matrix
 from qtetra.fileformat import (
     FileFormatError,
     ModuleFile,
@@ -36,7 +34,11 @@ from qtetra.modanalysis import (
     flag_of,
     shape_of,
 )
-from qtetra.presentations import BOXQ, LOOP_EQ, PresentationError
+from qtetra.presentations import (
+    LOOP_EQ,
+    PresentationError,
+    require_boxq,
+)
 from qtetra.reconstruct import ReconstructError, reconstruct_boxq
 from qtetra.repbuilder import (
     EvaluationParams,
@@ -57,8 +59,6 @@ from qtetra.scalars import (
 EXIT_PASS = 0
 EXIT_INPUT = 1
 EXIT_STRUCTURAL = 2
-
-WORD_CAP_ENV = 'QTETRA_WORD_CAP'
 
 
 class CliError(ValueError):
@@ -90,54 +90,42 @@ def _build_ctx(q_text):
     if q_text is None:
         return SYMBOLIC
     try:
-        return specialized(Fraction(q_text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f'bad --q value {q_text!r}: {exc}') from None
+        return specialized(q_text)
+    except ScalarError as exc:
+        raise CliError(f'bad --q value: {exc}') from None
 
 
-def _respecialize(mod: MatrixRep, q_text) -> MatrixRep:
-    """Evaluate a symbolic module at q given on the command line."""
+def _at_q(matrices: list, q_text) -> list:
+    """Evaluate loaded matrices at the --q value; a file already
+    specialized there passes unchanged."""
     if q_text is None:
-        return mod
-    ctx = _build_ctx(q_text)
-    if not mod.ctx.is_symbolic:
-        if mod.ctx.q_value == ctx.q_value:
-            return mod
+        return matrices
+    ctx, have = _build_ctx(q_text), matrices[0].ctx
+    if have.is_symbolic:
+        return [specialize_matrix(m, ctx) for m in matrices]
+    if have.q_value != ctx.q_value:
         raise CliError(
-            f'file is specialized at q = {mod.ctx.q_value}, '
+            f'file is specialized at q = {have.q_value}, '
             f'cannot re-specialize at q = {ctx.q_value}')
-    gens = {g: specialize_matrix(m, ctx) for g, m in mod.gens.items()}
-    return MatrixRep(mod.algebra_id, ctx, gens,
-                     provenance=dict(mod.provenance))
+    return matrices
 
 
-def _word_cap():
-    raw = os.environ.get(WORD_CAP_ENV)
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CliError(
-            f'{WORD_CAP_ENV} must be an integer, got {raw!r}') from None
-    if cap < 1:
-        raise CliError(f'{WORD_CAP_ENV} must be positive, got {cap}')
-    return cap
-
-
-def _load_module_file(path: str) -> ModuleFile:
+def _load_module(path: str, q_text=None) -> MatrixRep:
+    """Read a module file, decode its scalars once and apply --q."""
     doc = read_document(path)
     if not isinstance(doc, ModuleFile):
         raise CliError(f'{path} holds a generator pair, not a module')
-    return doc
+    mod = doc.to_module()
+    if q_text is None:
+        return mod
+    matrices = _at_q(list(mod.gens.values()), q_text)
+    return MatrixRep(mod.algebra_id, matrices[0].ctx,
+                     dict(zip(mod.gens, matrices)), provenance=mod.provenance)
 
 
 def _load_boxq(args) -> MatrixRep:
-    mod = _load_module_file(args.file).to_module()
-    mod = _respecialize(mod, getattr(args, 'q', None))
-    if mod.algebra_id != BOXQ:
-        raise CliError(
-            f'need a {BOXQ} module file, got {mod.algebra_id}')
+    mod = _load_module(args.file, getattr(args, 'q', None))
+    require_boxq(mod, CliError)
     return mod
 
 
@@ -174,13 +162,12 @@ def _rebuild_loop(provenance: dict, ctx) -> MatrixRep:
 def cmd_build_tensor(args) -> int:
     factors = []
     for path in args.factors:
-        mf = _load_module_file(path)
-        if mf.algebra_id != LOOP_EQ:
+        stated = _load_module(path)
+        if stated.algebra_id != LOOP_EQ:
             raise CliError(
                 f'{path}: tensor factors must be {LOOP_EQ} modules, '
-                f'got {mf.algebra_id}')
-        stated = mf.to_module()
-        rebuilt = _rebuild_loop(mf.provenance, stated.ctx)
+                f'got {stated.algebra_id}')
+        rebuilt = _rebuild_loop(stated.provenance, stated.ctx)
         if rebuilt.gens != stated.gens:
             raise CliError(
                 f'{path}: matrices do not match their provenance')
@@ -306,15 +293,12 @@ def cmd_reconstruct(args) -> int:
                 f'reconstruct needs a pair file or a {LOOP_EQ} module '
                 f'file, got a {mod.algebra_id} module')
         X, Y = aq_pair_of(mod)
-    if args.q is not None:
-        ctx = _build_ctx(args.q)
-        if X.ctx.is_symbolic:
-            X, Y = specialize_matrix(X, ctx), specialize_matrix(Y, ctx)
-        elif X.ctx.q_value != ctx.q_value:
-            raise CliError(
-                f'file is specialized at q = {X.ctx.q_value}, '
-                f'cannot re-specialize at q = {ctx.q_value}')
-    _emit_module(reconstruct_boxq(X, Y, _word_cap()), args.out)
+    X, Y = _at_q([X, Y], args.q)
+    try:
+        cap = default_word_cap(X.rows)
+    except LinAlgError as exc:
+        raise CliError(str(exc)) from None
+    _emit_module(reconstruct_boxq(X, Y, cap), args.out)
     return EXIT_PASS
 
 
@@ -338,9 +322,7 @@ def _check_text(blob: dict) -> str:
 
 
 def cmd_verify(args) -> int:
-    mod = _load_module_file(args.file).to_module()
-    mod = _respecialize(mod, args.q)
-    report = mod.check().to_dict()
+    report = _load_module(args.file, args.q).check().to_dict()
     if args.format == 'json':
         _emit(_json_text(report), args.out)
     else:

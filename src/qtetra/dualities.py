@@ -35,55 +35,43 @@ from qtetra.presentations import (
     BOXQ,
     GENERATORS,
     omega_label,
+    require_boxq,
     rho_label,
 )
-from qtetra.repbuilder import MatrixRep
+from qtetra.repbuilder import MatrixRep, certify
 
 
 class DualityError(ValueError):
     """Invalid transform input (wrong algebra, zero scale factor)."""
 
 
-def _require_boxq(mod):
-    if mod.algebra_id != BOXQ:
-        raise DualityError('transforms require an eight-generator module')
-
-
-def _certify(rep: MatrixRep) -> MatrixRep:
-    report = rep.check()
-    if not report.passed:
-        raise DualityError(
-            f'transformed module fails relations: {list(report.failing)}')
-    return rep
-
-
 def twist_rho(mod: MatrixRep, n: int) -> MatrixRep:
     """Twist by the index rotation: new x_ij acts as old x_{i+n,j+n}."""
-    _require_boxq(mod)
+    require_boxq(mod, DualityError)
     n %= 4
     gens = {g: mod.gens[rho_label(g, n)] for g in GENERATORS[BOXQ]}
     rep = MatrixRep(BOXQ, mod.ctx, gens,
                     provenance={'kind': 'rho_twist', 'n': n,
                                 'base': mod.provenance})
-    return _certify(rep)
+    return certify(rep, DualityError)
 
 
 def dual_module(mod: MatrixRep) -> MatrixRep:
     """The dual module: x_ij acts as transpose(matrix of omega(x_ij))."""
-    _require_boxq(mod)
+    require_boxq(mod, DualityError)
     gens = {g: mod.gens[omega_label(g)].transpose()
             for g in GENERATORS[BOXQ]}
     rep = MatrixRep(BOXQ, mod.ctx, gens,
                     provenance={'kind': 'dual', 'base': mod.provenance})
-    return _certify(rep)
+    return certify(rep, DualityError)
 
 
 def negate(mod: MatrixRep) -> MatrixRep:
     """Flip the sign of every generator (type eps becomes -eps)."""
-    _require_boxq(mod)
+    require_boxq(mod, DualityError)
     rep = MatrixRep(BOXQ, mod.ctx, {g: -m for g, m in mod.gens.items()},
                     provenance={'kind': 'negate', 'base': mod.provenance})
-    return _certify(rep)
+    return certify(rep, DualityError)
 
 
 def rescale(X: ExactMatrix, Y: ExactMatrix, alpha, alpha_star):
@@ -134,7 +122,7 @@ def eightfold_comparison(mod: MatrixRep) -> EightfoldTable:
     equations, so with m = i mod 4 the pair (i, j) has the verdict of a
     pair in row 0 or 4: ten solves fill the table.
     """
-    _require_boxq(mod)
+    require_boxq(mod, DualityError)
     dual = dual_module(mod)
     family = [twist_rho(mod, n) for n in range(4)]
     family += [twist_rho(dual, n) for n in range(4)]
@@ -181,7 +169,7 @@ class BilinearFormCandidate:
 
 def omega_form(mod: MatrixRep) -> BilinearFormCandidate:
     """Solve transpose(M(x_ij)) G = G M(omega(x_ij)) for all generators."""
-    _require_boxq(mod)
+    require_boxq(mod, DualityError)
     n = mod.dimension
     transposed = {g: mod.gens[g].transpose() for g in GENERATORS[BOXQ]}
     twisted = {g: mod.gens[omega_label(g)] for g in GENERATORS[BOXQ]}

@@ -80,12 +80,6 @@ class ExactMatrix:
     def __repr__(self):
         return f'ExactMatrix({self.rows}x{self.cols})'
 
-    def entry(self, i, j):
-        return self.data[i][j]
-
-    def column(self, j):
-        return [row[j] for row in self.data]
-
     def transpose(self):
         return ExactMatrix(self.ctx, [list(c) for c in zip(*self.data)])
 
@@ -421,16 +415,6 @@ class Decomposition:
         self.ambient_dim = ambient_dim
         self.components = tuple(components)
 
-    @classmethod
-    def from_components(cls, ctx, ambient_dim, components, verify=True):
-        dec = cls(ctx, ambient_dim, components)
-        if verify:
-            total, direct = subspace_sum(dec.components)
-            if not (direct and total.is_full()):
-                raise LinAlgError('components do not form a direct sum of '
-                                  'the full space')
-        return dec
-
     @property
     def d(self):
         return len(self.components) - 1
@@ -499,6 +483,7 @@ def _flatten(m: ExactMatrix):
 
 
 def default_word_cap(n: int) -> int:
+    """Word-length cap of the closure search: $QTETRA_WORD_CAP, else 2n."""
     env = os.environ.get(WORD_CAP_ENV)
     if env is not None:
         try:
@@ -507,7 +492,7 @@ def default_word_cap(n: int) -> int:
             raise LinAlgError(f'{WORD_CAP_ENV} must be an integer, '
                               f'got {env!r}') from None
         if cap < 1:
-            raise LinAlgError(f'{WORD_CAP_ENV} must be positive')
+            raise LinAlgError(f'{WORD_CAP_ENV} must be positive, got {cap}')
         return cap
     return 2 * n
 

@@ -2,6 +2,8 @@
 
 Scalars are stored as the canonical text produced by the field context,
 so a file generated here parses and re-serializes byte-identically.
+Reading decodes the JSON once and checks the structure only; the scalars
+are decoded once, by ``to_module`` / ``to_pair``.
 Two document kinds share one schema version:
 
 * a module file carries the full generator map of one algebra;
@@ -14,7 +16,6 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from qtetra.exactla import ExactMatrix
 from qtetra.presentations import GENERATORS
@@ -49,9 +50,12 @@ def _ctx_from_blob(blob) -> FieldContext:
             raise FileFormatError('symbolic field takes no q_value')
         return SYMBOLIC
     if mode == 'specialized':
+        q_value = blob.get('q_value')
+        if not isinstance(q_value, str):
+            raise FileFormatError('q_value must be a string')
         try:
-            return specialized(Fraction(str(blob.get('q_value'))))
-        except (ScalarError, ValueError, ZeroDivisionError) as exc:
+            return specialized(q_value)
+        except ScalarError as exc:
             raise FileFormatError(f'bad q_value: {exc}') from None
     raise FileFormatError(f'unknown field mode {mode!r}')
 
@@ -60,13 +64,16 @@ def _matrix_rows(m: ExactMatrix) -> list:
     return [[m.ctx.to_text(v) for v in row] for row in m.data]
 
 
-def _matrix_from_rows(ctx, rows, n: int, what: str) -> ExactMatrix:
+def _check_rows(rows, n: int, what: str) -> None:
     if (not isinstance(rows, list) or len(rows) != n
-            or any(not isinstance(r, list) or len(r) != n for r in rows)):
+            or any(not isinstance(r, list) or len(r) != n
+                   or not all(isinstance(v, str) for v in r) for r in rows)):
         raise FileFormatError(f'{what} must be a {n}x{n} array of strings')
+
+
+def _matrix_from_rows(ctx, rows, what: str) -> ExactMatrix:
     try:
-        return ExactMatrix.from_rows(
-            ctx, [[ctx.parse(str(v)) for v in row] for row in rows])
+        return ExactMatrix(ctx, [[ctx.parse(v) for v in row] for row in rows])
     except ScalarError as exc:
         raise FileFormatError(f'bad scalar in {what}: {exc}') from None
 
@@ -75,9 +82,8 @@ def _canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + '\n'
 
 
-def _checked_toplevel(doc, required: tuple) -> None:
-    if not isinstance(doc, dict):
-        raise FileFormatError('document must be a JSON object')
+def _checked_toplevel(doc, required: tuple) -> int:
+    """Check the keys every document carries; return its dimension."""
     version = doc.get('schema_version')
     # JSON true is a Python bool, and True == 1
     if isinstance(version, bool) or version != SCHEMA_VERSION:
@@ -87,6 +93,10 @@ def _checked_toplevel(doc, required: tuple) -> None:
     missing = [k for k in required if k not in doc]
     if missing:
         raise FileFormatError(f'missing keys: {", ".join(missing)}')
+    dimension = doc['dimension']
+    if type(dimension) is not int or dimension < 1:
+        raise FileFormatError('dimension must be a positive integer')
+    return dimension
 
 
 @dataclass(frozen=True)
@@ -109,38 +119,30 @@ class ModuleFile:
                    provenance=dict(rep.provenance))
 
     @classmethod
-    def from_json(cls, text: str) -> 'ModuleFile':
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f'not valid JSON: {exc}') from None
-        _checked_toplevel(
+    def _from_doc(cls, doc: dict) -> 'ModuleFile':
+        dimension = _checked_toplevel(
             doc, ('algebra_id', 'dimension', 'field', 'generators'))
         algebra_id = doc['algebra_id']
-        if algebra_id not in GENERATORS:
+        if not isinstance(algebra_id, str) or algebra_id not in GENERATORS:
             raise FileFormatError(f'unknown algebra_id {algebra_id!r}')
-        dimension = doc['dimension']
-        if type(dimension) is not int or dimension < 1:
-            raise FileFormatError('dimension must be a positive integer')
         gens = doc['generators']
         expected = set(GENERATORS[algebra_id])
         if not isinstance(gens, dict) or set(gens) != expected:
             raise FileFormatError(
                 f'generators must carry exactly the labels '
                 f'{sorted(expected)}')
+        for g, rows in gens.items():
+            _check_rows(rows, dimension, f'generator {g}')
         provenance = doc.get('provenance', {})
         if not isinstance(provenance, dict):
             raise FileFormatError('provenance must be an object')
-        mf = cls(algebra_id=algebra_id, dimension=dimension,
-                 field_blob=doc['field'], generators=gens,
-                 provenance=provenance)
-        mf.to_module()          # validates field blob and every entry
-        return mf
+        return cls(algebra_id=algebra_id, dimension=dimension,
+                   field_blob=doc['field'], generators=gens,
+                   provenance=provenance)
 
     def to_module(self) -> MatrixRep:
         ctx = _ctx_from_blob(self.field_blob)
-        gens = {g: _matrix_from_rows(ctx, rows, self.dimension,
-                                     f'generator {g}')
+        gens = {g: _matrix_from_rows(ctx, rows, f'generator {g}')
                 for g, rows in self.generators.items()}
         return MatrixRep(self.algebra_id, ctx, gens,
                          provenance=dict(self.provenance))
@@ -174,29 +176,22 @@ class PairFile:
                    matrices={'X': _matrix_rows(X), 'Y': _matrix_rows(Y)})
 
     @classmethod
-    def from_json(cls, text: str) -> 'PairFile':
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f'not valid JSON: {exc}') from None
-        _checked_toplevel(doc, ('kind', 'dimension', 'field', 'matrices'))
+    def _from_doc(cls, doc: dict) -> 'PairFile':
+        dimension = _checked_toplevel(
+            doc, ('kind', 'dimension', 'field', 'matrices'))
         if doc['kind'] != PAIR_KIND:
             raise FileFormatError(f'unknown pair kind {doc["kind"]!r}')
-        dimension = doc['dimension']
-        if type(dimension) is not int or dimension < 1:
-            raise FileFormatError('dimension must be a positive integer')
         matrices = doc['matrices']
         if not isinstance(matrices, dict) or set(matrices) != {'X', 'Y'}:
             raise FileFormatError('matrices must carry exactly X and Y')
-        pf = cls(dimension=dimension, field_blob=doc['field'],
-                 matrices=matrices)
-        pf.to_pair()
-        return pf
+        for k in ('X', 'Y'):
+            _check_rows(matrices[k], dimension, f'matrix {k}')
+        return cls(dimension=dimension, field_blob=doc['field'],
+                   matrices=matrices)
 
     def to_pair(self) -> tuple:
         ctx = _ctx_from_blob(self.field_blob)
-        return tuple(_matrix_from_rows(ctx, self.matrices[k],
-                                       self.dimension, f'matrix {k}')
+        return tuple(_matrix_from_rows(ctx, self.matrices[k], f'matrix {k}')
                      for k in ('X', 'Y'))
 
     def to_json(self) -> str:
@@ -215,9 +210,11 @@ def parse_document(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f'not valid JSON: {exc}') from None
-    if isinstance(doc, dict) and 'matrices' in doc:
-        return PairFile.from_json(text)
-    return ModuleFile.from_json(text)
+    if not isinstance(doc, dict):
+        raise FileFormatError('document must be a JSON object')
+    if 'matrices' in doc:
+        return PairFile._from_doc(doc)
+    return ModuleFile._from_doc(doc)
 
 
 def read_document(path: str):

@@ -32,8 +32,7 @@ from qtetra.exactla import (
     spectrum_decompose,
     subspace_sum,
 )
-from qtetra.presentations import BOXQ, GENERATORS, boxq_label
-from qtetra.scalars import FieldContext
+from qtetra.presentations import BOXQ, GENERATORS, boxq_label, require_boxq
 
 
 class AnalysisError(ValueError):
@@ -42,19 +41,6 @@ class AnalysisError(ValueError):
 
 class StructuralError(AnalysisError):
     """A structural consistency check failed loudly."""
-
-
-@dataclass(frozen=True)
-class ModuleProfile:
-    """Detected invariants: type epsilon, diameter d, shape (rho_0..rho_d)."""
-
-    epsilon: int
-    d: int
-    shape: tuple
-
-    def to_dict(self) -> dict:
-        return {'epsilon': self.epsilon, 'd': self.d,
-                'shape': list(self.shape)}
 
 
 class Flag:
@@ -128,14 +114,9 @@ def detect_type_diameter(m: ExactMatrix):
                         'diameter match the eigenvalues of this matrix')
 
 
-def _require_boxq(mod):
-    if mod.algebra_id != BOXQ:
-        raise AnalysisError('analysis requires an eight-generator module')
-
-
 def decomposition_ij(mod, i: int, j: int) -> Decomposition:
     """Eigenspace decomposition [i,j]: component n has eigenvalue q^(d-2n)."""
-    _require_boxq(mod)
+    require_boxq(mod, AnalysisError)
     if (j - i) % 4 not in (1, 2):
         raise AnalysisError(f'no generator with indices ({i}, {j})')
     eps, _, dec = detect_type_diameter(mod.gens[boxq_label(i, j)])
@@ -146,11 +127,6 @@ def decomposition_ij(mod, i: int, j: int) -> Decomposition:
 
 
 _LABEL_PAIRS = tuple((i, j) for i in range(4) for j in (i + 1, i + 2))
-
-
-def _all_decompositions(mod) -> dict:
-    return {boxq_label(i, j): decomposition_ij(mod, i, j)
-            for i, j in _LABEL_PAIRS}
 
 
 @dataclass(frozen=True)
@@ -173,10 +149,6 @@ class ShapeReport:
     def passed(self) -> bool:
         return self.uniform and self.palindromic
 
-    @property
-    def profile(self) -> ModuleProfile:
-        return ModuleProfile(self.epsilon, self.d, self.shape)
-
     def to_dict(self) -> dict:
         return {
             'epsilon': self.epsilon, 'd': self.d, 'shape': list(self.shape),
@@ -189,7 +161,7 @@ class ShapeReport:
 
 def shape_of(mod) -> ShapeReport:
     """Detect the shape and certify it is generator-independent."""
-    _require_boxq(mod)
+    require_boxq(mod, AnalysisError)
     detected = {g: detect_type_diameter(mod.gens[g])
                 for g in GENERATORS[BOXQ]}
     eps, d, dec = detected['x01']
@@ -208,7 +180,7 @@ def flag_of(mod, i: int) -> Flag:
     [i-1,i] and the decomposition [i,i+2] must induce the same flag, and
     a disagreement raises a structural error.
     """
-    _require_boxq(mod)
+    require_boxq(mod, AnalysisError)
     flag = Flag.from_decomposition(decomposition_ij(mod, i, i + 1))
     from_prev = Flag.from_decomposition(
         decomposition_ij(mod, i - 1, i).inversion())
@@ -344,7 +316,7 @@ def check_action_tables(mod, decompositions=None) -> TableReport:
     ``decompositions`` may supply precomputed {label: Decomposition}
     entries to reuse; missing labels are computed here.
     """
-    _require_boxq(mod)
+    require_boxq(mod, AnalysisError)
     ctx = mod.ctx
     decompositions = decompositions or {}
     decs = {}
@@ -411,7 +383,7 @@ def check_dimension_chain(mod, theta) -> ChainReport:
     all eight must agree.  Also checks that the theta-eigenspace of x02
     equals the theta^-1-eigenspace of x20 as subspaces (inverse pair).
     """
-    _require_boxq(mod)
+    require_boxq(mod, AnalysisError)
     ctx = mod.ctx
     theta = ctx.coerce(theta)
     if not theta:

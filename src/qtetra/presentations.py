@@ -45,6 +45,13 @@ class PresentationError(ValueError):
     """Unknown algebra, missing generator, or malformed assignment."""
 
 
+def require_boxq(mod, error) -> None:
+    """Raise ``error(message)`` unless ``mod`` is a module for the
+    eight-generator algebra; ``error`` builds the caller's exception."""
+    if mod.algebra_id != BOXQ:
+        raise error(f'need a {BOXQ} module, got {mod.algebra_id}')
+
+
 def boxq_label(i: int, j: int) -> str:
     return f'x{i % 4}{j % 4}'
 

@@ -38,7 +38,13 @@ from qtetra.modanalysis import (
     check_opposite,
     detect_type_diameter,
 )
-from qtetra.presentations import AQ, BOXQ, boxq_label, check_representation
+from qtetra.presentations import (
+    AQ,
+    BOXQ,
+    boxq_label,
+    check_representation,
+    require_boxq,
+)
 from qtetra.repbuilder import MatrixRep
 
 
@@ -52,12 +58,10 @@ class ReconstructError(ValueError):
 
 @dataclass(frozen=True)
 class AqPairProfile:
-    """Spectral data of an accepted pair: diameter, type scalars, and the
+    """Spectral data of an accepted pair: diameter and the
     eigenvalue-ordered decompositions of X and Y."""
 
     d: int
-    alpha: int
-    alpha_star: int
     dec_x: object
     dec_y: object
 
@@ -106,7 +110,7 @@ def pair_profile(X: ExactMatrix, Y: ExactMatrix) -> AqPairProfile:
     if dx != dy:
         raise ReconstructError('spectrum mismatch',
                                f'diameters differ: X has {dx}, Y has {dy}')
-    return AqPairProfile(dx, 1, 1, dec_x, dec_y)
+    return AqPairProfile(dx, dec_x, dec_y)
 
 
 def irreducible_pair(X: ExactMatrix, Y: ExactMatrix,
@@ -203,9 +207,7 @@ class RoundtripReport:
 
 def roundtrip_verify(mod: MatrixRep) -> RoundtripReport:
     """Extract (x01, x23), reconstruct, and compare all eight matrices."""
-    if mod.algebra_id != BOXQ:
-        raise ReconstructError('spectrum mismatch',
-                               'round trip needs an eight-generator module')
+    require_boxq(mod, lambda msg: ReconstructError('spectrum mismatch', msg))
     rebuilt = reconstruct_boxq(mod.gens['x01'], mod.gens['x23'])
     mismatched = tuple(g for g in mod.gens
                        if rebuilt.gens[g] != mod.gens[g])

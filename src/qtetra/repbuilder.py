@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from qtetra.exactla import ExactMatrix
-from qtetra.presentations import AQ, LOOP_EQ, UQSL2_EQ, check_representation
+from qtetra.presentations import LOOP_EQ, UQSL2_EQ, check_representation
 from qtetra.scalars import SYMBOLIC, FieldContext
 
 
@@ -78,19 +78,16 @@ class MatrixRep:
     def dimension(self) -> int:
         return next(iter(self.gens.values())).rows
 
-    def generator(self, label: str) -> ExactMatrix:
-        return self.gens[label]
-
     def check(self):
         return check_representation(self.algebra_id, self.gens)
 
 
-def _certify(rep: MatrixRep) -> MatrixRep:
+def certify(rep: MatrixRep, error: type = RepError) -> MatrixRep:
+    """``rep`` itself once every relation holds on it; else raise ``error``."""
     report = rep.check()
     if not report.passed:
-        raise RepError(
-            f'constructed {rep.algebra_id} module fails relations: '
-            f'{list(report.failing)}')
+        raise error(f'{rep.provenance.get("kind")} {rep.algebra_id} module '
+                    f'fails relations: {list(report.failing)}')
     return rep
 
 
@@ -131,7 +128,7 @@ def uqsl2_equitable_module(d: int, ctx: FieldContext = SYMBOLIC) -> MatrixRep:
         {'x': x, 'x_inv': data.K_inv, 'y': y, 'z': z},
         provenance={'kind': 'uqsl2_equitable', 'd': d},
         aux={'chevalley': data})
-    return _certify(rep)
+    return certify(rep)
 
 
 def _loop_from_families(ctx, families, provenance) -> MatrixRep:
@@ -145,7 +142,7 @@ def _loop_from_families(ctx, families, provenance) -> MatrixRep:
         gens[f'z{i}'] = z
     rep = MatrixRep(LOOP_EQ, ctx, gens, provenance=provenance,
                     aux={'families': families})
-    return _certify(rep)
+    return certify(rep)
 
 
 def evaluation_module(params: EvaluationParams,
@@ -213,9 +210,3 @@ def aq_pair_of(m: MatrixRep) -> tuple:
     if m.algebra_id != LOOP_EQ:
         raise RepError('pair extraction requires a loop module')
     return m.gens['y1'], m.gens['y0']
-
-
-def aq_rep(X: ExactMatrix, Y: ExactMatrix) -> MatrixRep:
-    """Package a pair as a two-generator module (x = X, y = Y)."""
-    return MatrixRep(AQ, X.ctx, {'x': X, 'y': Y},
-                     provenance={'kind': 'pair'})

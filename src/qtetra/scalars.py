@@ -15,10 +15,10 @@ modes:
   the oracle.
 
 Negative powers of q are ordinary field division, e.g. q^-3 is 1/q^3; there
-is no separate Laurent representation.  The canonical monic-denominator view
-required by callers that inspect coefficients is exposed via
-``monic_parts``, and the canonical text syntax (used by every file format)
-via ``FieldContext.to_text`` / ``FieldContext.parse``.
+is no separate Laurent representation.  The canonical text syntax (used by
+every file format) is ``FieldContext.to_text`` / ``FieldContext.parse``.
+A specialized literal is an integer, a plain decimal or 'a/b'; exponent
+notation is rejected, so reading cost cannot grow with a written exponent.
 """
 
 from __future__ import annotations
@@ -46,13 +46,20 @@ class SpecializationError(ScalarError):
 
 
 def _to_fraction(value) -> Fraction:
+    """The one reader of rational literals: an int, a Fraction, or text."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if not isinstance(value, str):
+        raise ScalarError(f'cannot interpret {value!r} as a rational number')
+    if 'e' in value or 'E' in value:
+        raise ScalarError(f'bad rational literal {value!r}: exponent '
+                          f'notation is not accepted')
+    try:
         return Fraction(value.strip())
-    raise ScalarError(f'cannot interpret {value!r} as a rational number')
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScalarError(f'bad rational literal {value!r}: {exc}') from None
 
 
 class FieldContext:
@@ -127,30 +134,6 @@ class FieldContext:
             return _FIELD(QQ(c.numerator, c.denominator))
         return c
 
-    def _poly(self, source):
-        """Interpret ``source`` as a polynomial-in-q element.
-
-        Accepts an existing element, a rational, or a sparse map
-        {exponent: coefficient} with integer exponents of either sign.
-        """
-        if self.is_symbolic and isinstance(source, type(self.zero)):
-            return source
-        if not self.is_symbolic and isinstance(source, Fraction):
-            return source
-        if isinstance(source, dict):
-            acc = self.zero
-            for exp, coeff in source.items():
-                acc = acc + self.from_rational(coeff) * self.q_power(exp)
-            return acc
-        return self.from_rational(source)
-
-    def canonicalize(self, num, den=1):
-        """num/den in canonical form; rejects a zero denominator."""
-        den_elem = self._poly(den)
-        if not den_elem:
-            raise ScalarError('zero denominator')
-        return self._poly(num) / den_elem
-
     def coerce(self, value):
         """Accept an element, rational, or canonical text as an element."""
         if isinstance(value, type(self.zero)):
@@ -189,10 +172,7 @@ class FieldContext:
     def parse(self, text: str):
         if self.is_symbolic:
             return parse_text(text)
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScalarError(f'bad rational literal {text!r}: {exc}') from None
+        return _to_fraction(text)
 
 
 SYMBOLIC = FieldContext(SYMBOLIC_MODE)
@@ -200,26 +180,6 @@ SYMBOLIC = FieldContext(SYMBOLIC_MODE)
 
 def specialized(q_value) -> FieldContext:
     return FieldContext(SPECIALIZED_MODE, q_value)
-
-
-def specialize(s, ctx: FieldContext) -> Fraction:
-    """Module-level alias for ``ctx.specialize(s)``."""
-    return ctx.specialize(s)
-
-
-def monic_parts(s):
-    """The (numerator, denominator) coefficient maps with monic denominator.
-
-    Returns two dicts {exponent: Fraction}; the denominator's leading
-    coefficient is 1 and the zero element comes back as ({}, {0: 1}).
-    """
-    num, den = s.numer, s.denom
-    lead = den.LC
-    num_map = {e[0]: Fraction(int((c / lead).numerator), int((c / lead).denominator))
-               for e, c in num.terms()}
-    den_map = {e[0]: Fraction(int((c / lead).numerator), int((c / lead).denominator))
-               for e, c in den.terms()}
-    return num_map, den_map
 
 
 # -- canonical text: printer ----------------------------------------------
@@ -269,7 +229,11 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(('int', int(text[i:j])))
+            try:
+                tokens.append(('int', int(text[i:j])))
+            except ValueError as exc:   # more digits than int() converts
+                raise ScalarError(f'integer literal in scalar text: '
+                                  f'{exc}') from None
             i = j
         elif ch == 'q':
             tokens.append(('q', None))

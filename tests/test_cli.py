@@ -7,10 +7,15 @@ import os
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtetra.cli import main
+from qtetra.exactla import ExactMatrix
 from qtetra.fileformat import ModuleFile, PairFile, parse_document
-from qtetra.scalars import MAX_EXPONENT
+from qtetra.presentations import GENERATORS
+from qtetra.repbuilder import MatrixRep
+from qtetra.scalars import MAX_EXPONENT, SYMBOLIC, FieldContext, specialized
 
 
 def run(*argv):
@@ -190,6 +195,115 @@ def test_exponent_above_bound_rejected_fast(files, tmp_path, capsys):
     assert run('verify-relations', path) == 1
     assert time.process_time() - start < 5.0
     assert 'exceeds the bound' in capsys.readouterr().err
+
+
+def _q2_pair(tmp_path, x_entry):
+    pair = {'schema_version': 1, 'kind': 'aq_pair', 'dimension': 1,
+            'field': {'mode': 'specialized', 'q_value': '2'},
+            'matrices': {'X': [[x_entry]], 'Y': [['1']]}}
+    path = str(tmp_path / 'pair.json')
+    write_json(path, pair)
+    return path
+
+
+@pytest.mark.parametrize('entry', [2, 0.5])
+def test_scalar_entries_must_be_strings(entry, tmp_path, capsys):
+    assert run('build', 'evaluation', '--d', '0', '--q', '2', '--out',
+               str(tmp_path / 'ev.json')) == 0
+    doc = read_json(tmp_path / 'ev.json')
+    doc['generators']['y1'] = [[entry]]
+    path = str(tmp_path / 'typed.json')
+    write_json(path, doc)
+    assert run('verify-relations', path) == 1
+    assert 'generator y1' in capsys.readouterr().err
+    assert run('reconstruct', _q2_pair(tmp_path, entry)) == 1
+    assert 'matrix X' in capsys.readouterr().err
+
+
+def test_q_value_must_be_a_string(tmp_path, capsys):
+    path = _q2_pair(tmp_path, '1')
+    doc = read_json(path)
+    doc['field']['q_value'] = 2
+    write_json(path, doc)
+    assert run('reconstruct', path) == 1
+    assert 'q_value' in capsys.readouterr().err
+
+
+def test_algebra_id_of_another_json_type_rejected(files, tmp_path, capsys):
+    doc = read_json(files['ev'])
+    doc['algebra_id'] = ['LOOP_EQ']
+    path = str(tmp_path / 'listed.json')
+    write_json(path, doc)
+    assert run('verify-relations', path) == 1
+    assert 'unknown algebra_id' in capsys.readouterr().err
+
+
+def test_exponent_notation_rejected_fast(tmp_path, capsys):
+    start = time.process_time()
+    assert run('reconstruct', _q2_pair(tmp_path, '1e2000000')) == 1
+    assert time.process_time() - start < 1.0
+    assert 'exponent notation' in capsys.readouterr().err
+    assert run('build', 'evaluation', '--d', '0', '--q', '2e0') == 1
+    assert '--q' in capsys.readouterr().err
+
+
+def test_overlong_literal_named_error(tmp_path, capsys):
+    pair = {'schema_version': 1, 'kind': 'aq_pair', 'dimension': 1,
+            'field': {'mode': 'symbolic'},
+            'matrices': {'X': [['9' * 5000]], 'Y': [['1']]}}
+    path = str(tmp_path / 'long.json')
+    write_json(path, pair)
+    assert run('reconstruct', path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('error: bad scalar in matrix X')
+    assert 'Traceback' not in err
+
+
+def test_each_scalar_parsed_once_per_read(files, monkeypatch, capsys):
+    calls = []
+    parse = FieldContext.parse
+
+    def counted(ctx, text):
+        calls.append(text)
+        return parse(ctx, text)
+    monkeypatch.setattr(FieldContext, 'parse', counted)
+    # a d = 1 loop file: six 2 x 2 generators, 24 entries
+    assert run('verify-relations', files['ev']) == 0
+    assert len(calls) == 24
+
+
+def _scalars(ctx):
+    if ctx.is_symbolic:
+        q = ctx.q
+        coeffs = st.integers(min_value=-9, max_value=9)
+        return st.builds(lambda a, b, c, k: (a * q * q + b) / (c * q + 1)
+                         * ctx.q_power(k), coeffs, coeffs, coeffs,
+                         st.integers(min_value=-3, max_value=3))
+    return st.fractions(max_denominator=50)
+
+
+@st.composite
+def small_modules(draw):
+    ctx = draw(st.sampled_from([SYMBOLIC, specialized(2)]))
+    algebra = draw(st.sampled_from(sorted(GENERATORS)))
+    n = draw(st.integers(min_value=1, max_value=2))
+    gens = {g: ExactMatrix(ctx, [[draw(_scalars(ctx)) for _ in range(n)]
+                                 for _ in range(n)])
+            for g in GENERATORS[algebra]}
+    return MatrixRep(algebra, ctx, gens, provenance={'kind': 'random'})
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_modules())
+def test_document_round_trips_property(mod):
+    text = ModuleFile.from_module(mod).to_json()
+    doc = parse_document(text)
+    assert doc.to_json() == text
+    assert ModuleFile.from_module(doc.to_module()).to_json() == text
+    pair = PairFile.from_pair(*list(mod.gens.values())[:2]).to_json()
+    doc = parse_document(pair)
+    assert doc.to_json() == pair
+    assert PairFile.from_pair(*doc.to_pair()).to_json() == pair
 
 
 def test_reconstructed_symbolic_file_round_trips(tmp_path):

@@ -90,7 +90,6 @@ def test_profile_of_pair():
     X, Y = evaluation_pair(2, 'q')
     profile = pair_profile(X, Y)
     assert profile.d == 2
-    assert (profile.alpha, profile.alpha_star) == (1, 1)
     assert profile.dec_x.dims == (1, 1, 1)
 
 

@@ -9,13 +9,12 @@ from qtetra.exactla import (
     algebra_closure_dim,
     spectrum_decompose,
 )
-from qtetra.presentations import check_representation
+from qtetra.presentations import AQ, check_representation
 from qtetra.repbuilder import (
     EvaluationParams,
     MatrixRep,
     RepError,
     aq_pair_of,
-    aq_rep,
     evaluation_module,
     standard_uq_data,
     tensor_modules,
@@ -219,8 +218,7 @@ def test_aq_pair_from_tensor():
     a = evaluation_module(EvaluationParams(1, 1))
     b = evaluation_module(EvaluationParams(1, 'q + 1'))
     X, Y = aq_pair_of(tensor_modules(a, b))
-    rep = aq_rep(X, Y)
-    assert rep.check().passed
+    assert check_representation(AQ, {'x': X, 'y': Y}).passed
     for m in (X, Y):
         dec = spectrum_decompose(m, [Q * Q, CTX.one, QINV * QINV])
         assert dec is not None

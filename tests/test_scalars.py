@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtetra.scalars import (
     MAX_EXPONENT,
     SYMBOLIC,
     ScalarError,
     SpecializationError,
-    monic_parts,
     parse_text,
     specialized,
     to_text,
@@ -20,8 +21,8 @@ def test_q_int_small_values():
     assert SYMBOLIC.q_int(0) == SYMBOLIC.zero
     assert SYMBOLIC.q_int(1) == SYMBOLIC.one
     # [3]_q = (q^4 + q^2 + 1)/q^2, expanded by hand from (q^3-q^-3)/(q-q^-1)
-    expected = SYMBOLIC.canonicalize({4: 1, 2: 1, 0: 1}, {2: 1})
-    assert SYMBOLIC.q_int(3) == expected
+    q = SYMBOLIC.q
+    assert SYMBOLIC.q_int(3) == (q ** 4 + q ** 2 + 1) / q ** 2
     assert to_text(SYMBOLIC.q_int(3)) == '(q^4 + q^2 + 1)/(q^2)'
 
 
@@ -39,29 +40,22 @@ def test_q_int_rejects_negative():
 
 def test_canonicalize_examples():
     # (q^2 - 1)/(q - 1) = q + 1
-    assert SYMBOLIC.canonicalize({2: 1, 0: -1}, {1: 1, 0: -1}) \
-        == SYMBOLIC.q + 1
+    assert parse_text('(q^2 - 1)/(q - 1)') == SYMBOLIC.q + 1
     # zero normal form
-    z = SYMBOLIC.canonicalize(0, {5: 1})
+    z = parse_text('(0)/(q^5)')
     assert z == SYMBOLIC.zero
     assert not z
-    # (2q)/4 and q/2 canonicalize identically
-    assert SYMBOLIC.canonicalize({1: 2}, 4) == SYMBOLIC.canonicalize({1: 1}, 2)
+    assert to_text(z) == '0'
+    # (2q)/4 and q/2 have one normal form, with integral coefficients
+    assert parse_text('(2*q)/(4)') == parse_text('(q)/(2)') == SYMBOLIC.q / 2
+    assert to_text(parse_text('(2*q)/(4)')) == '(q)/(2)'
 
 
 def test_canonicalize_zero_denominator():
     with pytest.raises(ScalarError):
-        SYMBOLIC.canonicalize(1, 0)
-
-
-def test_monic_parts():
-    num, den = monic_parts(SYMBOLIC.q_int(3))
-    assert num == {4: 1, 2: 1, 0: 1}
-    assert den == {2: 1}
-    # q/2: monic scaling moves the 2 into the numerator coefficient
-    num, den = monic_parts(SYMBOLIC.canonicalize({1: 2}, 4))
-    assert num == {1: Fraction(1, 2)}
-    assert den == {0: 1}
+        parse_text('(1)/(0)')
+    with pytest.raises(ScalarError):
+        Q2.parse('1/0')
 
 
 def _sample_scalars():
@@ -74,8 +68,8 @@ def _sample_scalars():
         1 / q,
         q + 1,
         ctx.q_int(3),
-        ctx.canonicalize({3: -2, 0: 5}, {2: 1, 1: 1}),
-        ctx.canonicalize({1: 1, 0: -1}, {1: 1, 0: 1}),
+        (-2 * q ** 3 + 5) / (q ** 2 + q),
+        (q - 1) / (q + 1),
         ctx.from_rational(Fraction(-7, 3)),
     ]
 
@@ -109,7 +103,7 @@ def test_specialize_is_homomorphism():
 
 
 def test_specialize_vanishing_denominator():
-    s = SYMBOLIC.canonicalize(1, {1: 1, 0: -2})  # 1/(q - 2)
+    s = 1 / (SYMBOLIC.q - 2)
     with pytest.raises(SpecializationError) as err:
         Q2.specialize(s)
     assert 'q - 2' in str(err.value)
@@ -134,7 +128,7 @@ def test_text_fixed_forms():
     assert to_text(SYMBOLIC.one) == '1'
     assert to_text(SYMBOLIC.q_power(-1)) == '(1)/(q)'
     assert to_text(2 * SYMBOLIC.q ** 3 - 1) == '2*q^3 - 1'
-    s = SYMBOLIC.canonicalize({1: 1, 0: -1}, {1: 1, 0: 1})
+    s = (SYMBOLIC.q - 1) / (SYMBOLIC.q + 1)
     # -(q - 1)/(q + 1) normalizes with the sign inside the numerator
     assert to_text(-s) == '(-q + 1)/(q + 1)'
     assert parse_text('-(q - 1)/(q + 1)') == -s
@@ -172,3 +166,42 @@ def test_specialized_arithmetic_matches_symbolic():
     for ctx in (SYMBOLIC, Q2):
         assert ctx.q_power(-2) * ctx.q_power(2) == ctx.one
         assert ctx.q_int(2) == ctx.q_power(1) + ctx.q_power(-1)
+
+
+def test_specialized_literals_are_integers_decimals_or_ratios():
+    assert Q2.parse('-3/4') == Fraction(-3, 4)
+    assert Q2.parse(' 2.5 ') == Fraction(5, 2)
+    assert specialized('3/2').q_value == Fraction(3, 2)
+    # exponent notation would let the cost of a read grow with the exponent
+    for bad in ('1e5', '2E-3', '1e2000000', '1.5e1'):
+        with pytest.raises(ScalarError, match='exponent'):
+            Q2.parse(bad)
+        with pytest.raises(ScalarError, match='exponent'):
+            specialized(bad)
+
+
+def test_overlong_integer_literal_is_a_scalar_error():
+    digits = '7' * 5000      # above Python's integer-string limit
+    for ctx in (SYMBOLIC, Q2):
+        with pytest.raises(ScalarError):
+            ctx.parse(digits)
+    with pytest.raises(ScalarError):
+        parse_text(f'{digits}*q + 1')
+
+
+def _poly(q, coeffs):
+    return sum((c * q ** k for k, c in enumerate(coeffs)), SYMBOLIC.zero)
+
+
+SMALL_POLYS = st.lists(st.integers(min_value=-20, max_value=20),
+                       min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SMALL_POLYS, SMALL_POLYS, st.integers(min_value=-4, max_value=4))
+def test_text_round_trip_property(num, den, shift):
+    q = SYMBOLIC.q
+    if not any(den):
+        den = [1]
+    s = _poly(q, num) / _poly(q, den) * SYMBOLIC.q_power(shift)
+    assert parse_text(to_text(s)) == s
