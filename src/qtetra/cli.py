@@ -28,6 +28,7 @@ from qtetra.fileformat import (
 )
 from qtetra.modanalysis import (
     AnalysisError,
+    ModuleSpectra,
     check_action_tables,
     check_dimension_chain,
     check_opposite,
@@ -144,17 +145,34 @@ def cmd_build_uqsl2(args) -> int:
     return EXIT_PASS
 
 
-def _rebuild_loop(provenance: dict, ctx) -> MatrixRep:
+def _rebuild_loop(provenance, ctx, dimension: int) -> MatrixRep:
+    """Rebuild a loop module from its provenance.
+
+    The provenance is file data, so each field's JSON type is checked, and
+    no factor may exceed ``dimension``, the size of the stated module.
+    """
+    if not isinstance(provenance, dict):
+        raise CliError('tensor-factor provenance must be an object, '
+                       f'got {type(provenance).__name__}')
     kind = provenance.get('kind')
     if kind == 'evaluation':
-        params = EvaluationParams(int(provenance['d']), provenance['t'])
-        return evaluation_module(params, ctx)
+        d, t = provenance.get('d'), provenance.get('t')
+        if type(d) is not int:  # JSON true/false decode to bool, an int
+            raise CliError(
+                f'evaluation provenance: "d" must be an integer, got {d!r}')
+        if not isinstance(t, str):
+            raise CliError(
+                f'evaluation provenance: "t" must be scalar text, got {t!r}')
+        if d + 1 > dimension:
+            raise CliError(f'evaluation provenance: d = {d} does not fit '
+                           f'a module of dimension {dimension}')
+        return evaluation_module(EvaluationParams(d, t), ctx)
     if kind == 'tensor':
         factors = provenance.get('factors', [])
-        if len(factors) != 2:
+        if not isinstance(factors, list) or len(factors) != 2:
             raise CliError('tensor provenance needs exactly two factors')
-        left = _rebuild_loop(factors[0], ctx)
-        return tensor_modules(left, _rebuild_loop(factors[1], ctx))
+        left = _rebuild_loop(factors[0], ctx, dimension)
+        return tensor_modules(left, _rebuild_loop(factors[1], ctx, dimension))
     raise CliError(
         f'cannot rebuild tensor-factor data from provenance kind {kind!r}')
 
@@ -167,7 +185,8 @@ def cmd_build_tensor(args) -> int:
             raise CliError(
                 f'{path}: tensor factors must be {LOOP_EQ} modules, '
                 f'got {stated.algebra_id}')
-        rebuilt = _rebuild_loop(stated.provenance, stated.ctx)
+        rebuilt = _rebuild_loop(stated.provenance, stated.ctx,
+                                stated.dimension)
         if rebuilt.gens != stated.gens:
             raise CliError(
                 f'{path}: matrices do not match their provenance')
@@ -179,11 +198,12 @@ def cmd_build_tensor(args) -> int:
 # -- analyze ---------------------------------------------------------------
 
 def _analyze_report(mod: MatrixRep) -> dict:
+    spectra = ModuleSpectra(mod)
     report = {}
     passed = True
     d = None
     try:
-        shape = shape_of(mod)
+        shape = shape_of(spectra)
         report['epsilon'] = shape.epsilon
         report['d'] = shape.d
         report['shape'] = list(shape.shape)
@@ -195,14 +215,14 @@ def _analyze_report(mod: MatrixRep) -> dict:
         report['shape_error'] = str(exc)
         passed = False
 
-    table = check_action_tables(mod)
+    table = check_action_tables(spectra)
     report['table_check'] = table.to_dict()
     passed = passed and table.passed
 
     pairs = {}
     flags_ok = True
     try:
-        flags = [flag_of(mod, i) for i in range(4)]
+        flags = [flag_of(spectra, i) for i in range(4)]
         for i in range(4):
             for j in range(i + 1, 4):
                 opposite = check_opposite(flags[i], flags[j]) is not None

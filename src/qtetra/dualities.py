@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from qtetra.exactla import (
-    ExactMatrix,
     intertwiner_space,
     invertible_witness,
     matrix_from_flat,
@@ -72,16 +71,6 @@ def negate(mod: MatrixRep) -> MatrixRep:
     rep = MatrixRep(BOXQ, mod.ctx, {g: -m for g, m in mod.gens.items()},
                     provenance={'kind': 'negate', 'base': mod.provenance})
     return certify(rep, DualityError)
-
-
-def rescale(X: ExactMatrix, Y: ExactMatrix, alpha, alpha_star):
-    """Normalize a pair's type: divide X by alpha and Y by alpha_star."""
-    ctx = X.ctx
-    alpha = ctx.coerce(alpha)
-    alpha_star = ctx.coerce(alpha_star)
-    if not alpha or not alpha_star:
-        raise DualityError('rescale factors must be nonzero')
-    return X.scale(ctx.one / alpha), Y.scale(ctx.one / alpha_star)
 
 
 def isomorphic(a: MatrixRep, b: MatrixRep):

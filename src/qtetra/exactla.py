@@ -448,13 +448,16 @@ class Decomposition:
                 and self.components == other.components)
 
 
-def spectrum_decompose(m: ExactMatrix, candidates, allow_zero=False):
+def spectrum_decompose(m: ExactMatrix, candidates, allow_zero=False,
+                       first=None):
     """Eigenspace decomposition for the given candidate eigenvalues.
 
     Returns the ordered Decomposition iff the eigenspaces fill the whole
     space (eigenspaces of distinct eigenvalues are independent, so filling
     is equivalent to the dimensions summing to n); otherwise None.  With
     ``allow_zero`` false, a candidate with no eigenvector also yields None.
+    ``first`` is the eigenspace of ``candidates[0]`` when the caller has
+    computed it already.
     """
     if not m.is_square():
         raise LinAlgError('spectrum_decompose needs a square matrix')
@@ -465,8 +468,9 @@ def spectrum_decompose(m: ExactMatrix, candidates, allow_zero=False):
                 raise LinAlgError('duplicate candidate eigenvalues')
     spaces = []
     remaining = m.rows
-    for theta in candidates:
-        space = eigenspace(m, theta)
+    for index, theta in enumerate(candidates):
+        space = (first if index == 0 and first is not None
+                 else eigenspace(m, theta))
         if not allow_zero and space.is_zero():
             return None
         remaining -= space.dim

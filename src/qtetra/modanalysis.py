@@ -3,7 +3,10 @@
 Given a module for the eight-generator algebra, this module detects its
 type and diameter from generator spectra, computes the eigenspace
 decompositions [i,j], the shape, and the four flags [0]..[3], and checks
-the structural facts that characterize valid irreducible type-1 modules:
+the structural facts that characterize valid irreducible type-1 modules.
+Each generator's spectrum is detected once per module: a ``ModuleSpectra``
+keeps the eight results, and the shape, the action tables and the flags
+all read from it.  The checks:
 
 * every generator is semisimple with spectrum {eps*q^(d-2n) : 0 <= n <= d};
 * all eight generators report the same type, diameter, and shape, and
@@ -96,30 +99,67 @@ class Flag:
 def detect_type_diameter(m: ExactMatrix):
     """Find (epsilon, d) with spectrum {eps*q^(d-2n)} and the decomposition.
 
-    Searches d ascending and epsilon in {+1, -1}; eigenvalues of the two
-    signs can never collide, so the first success is the only one.
+    Scans from the top: the largest k <= n-1 for which eps*q^k (+1 tried
+    before -1) has an eigenvector fixes the only possible answer, d = k
+    with that eps.  A larger d would need the eigenvalue eps*q^d, which is
+    absent; a smaller d, or the other sign, leaves the eps*q^k eigenvectors
+    uncovered, since |q| != 1 keeps all the values +-q^j distinct.  So one
+    ``spectrum_decompose`` at (eps, k), reusing the probed eigenspace,
+    decides, and its failure is final.
     """
     if not m.is_square():
         raise AnalysisError('type detection needs a square matrix')
     ctx = m.ctx
-    for d in range(m.rows):
-        for eps in (1, -1):
-            sign = ctx.one if eps == 1 else -ctx.one
-            candidates = [sign * ctx.q_power(d - 2 * n)
-                          for n in range(d + 1)]
-            dec = spectrum_decompose(m, candidates)
-            if dec is not None:
-                return eps, d, dec
+    probes = ((eps, k) for k in range(m.rows - 1, -1, -1) for eps in (1, -1))
+    for eps, k in probes:
+        sign = ctx.one if eps == 1 else -ctx.one
+        top = m.eigenspace(sign * ctx.q_power(k))
+        if top.is_zero():
+            continue
+        candidates = [sign * ctx.q_power(k - 2 * n) for n in range(k + 1)]
+        dec = spectrum_decompose(m, candidates, first=top)
+        if dec is not None:
+            return eps, k, dec
+        break
     raise AnalysisError('not a type-eps semisimple spectrum: no sign and '
                         'diameter match the eigenvalues of this matrix')
 
 
-def decomposition_ij(mod, i: int, j: int) -> Decomposition:
+class ModuleSpectra:
+    """The spectra of one BOXQ module's eight generators, each detected once.
+
+    A generator's ``detect_type_diameter`` runs on first use; its result,
+    (epsilon, d, decomposition) or the ``AnalysisError`` it raised, is
+    kept, and every later use reads it or raises that error again.
+    """
+
+    __slots__ = ('mod', '_detected')
+
+    def __init__(self, mod):
+        require_boxq(mod, AnalysisError)
+        self.mod = mod
+        self._detected = {}
+
+    def detected(self, label: str):
+        """(epsilon, d, decomposition) of the generator ``label``."""
+        if label not in self._detected:
+            try:
+                found = detect_type_diameter(self.mod.gens[label])
+            except AnalysisError as exc:
+                found = exc
+            self._detected[label] = found
+        found = self._detected[label]
+        if isinstance(found, AnalysisError):
+            raise found
+        return found
+
+
+def decomposition_ij(spectra: ModuleSpectra, i: int,
+                     j: int) -> Decomposition:
     """Eigenspace decomposition [i,j]: component n has eigenvalue q^(d-2n)."""
-    require_boxq(mod, AnalysisError)
     if (j - i) % 4 not in (1, 2):
         raise AnalysisError(f'no generator with indices ({i}, {j})')
-    eps, _, dec = detect_type_diameter(mod.gens[boxq_label(i, j)])
+    eps, _, dec = spectra.detected(boxq_label(i, j))
     if eps != 1:
         raise AnalysisError('module has type -1; apply the negate twist '
                             'before computing decompositions')
@@ -159,11 +199,9 @@ class ShapeReport:
         }
 
 
-def shape_of(mod) -> ShapeReport:
-    """Detect the shape and certify it is generator-independent."""
-    require_boxq(mod, AnalysisError)
-    detected = {g: detect_type_diameter(mod.gens[g])
-                for g in GENERATORS[BOXQ]}
+def shape_of(spectra: ModuleSpectra) -> ShapeReport:
+    """Read the shape and certify it is generator-independent."""
+    detected = {g: spectra.detected(g) for g in GENERATORS[BOXQ]}
     eps, d, dec = detected['x01']
     shape = dec.dims
     uniform = all(e == eps and dd == d and dc.dims == shape
@@ -173,18 +211,17 @@ def shape_of(mod) -> ShapeReport:
     return ShapeReport(eps, d, shape, uniform, palindromic, gen_dims)
 
 
-def flag_of(mod, i: int) -> Flag:
+def flag_of(spectra: ModuleSpectra, i: int) -> Flag:
     """The flag [i], with the three-way consistency check.
 
     The flag is induced by the decomposition [i,i+1]; the inversion of
     [i-1,i] and the decomposition [i,i+2] must induce the same flag, and
     a disagreement raises a structural error.
     """
-    require_boxq(mod, AnalysisError)
-    flag = Flag.from_decomposition(decomposition_ij(mod, i, i + 1))
+    flag = Flag.from_decomposition(decomposition_ij(spectra, i, i + 1))
     from_prev = Flag.from_decomposition(
-        decomposition_ij(mod, i - 1, i).inversion())
-    from_long = Flag.from_decomposition(decomposition_ij(mod, i, i + 2))
+        decomposition_ij(spectra, i - 1, i).inversion())
+    from_long = Flag.from_decomposition(decomposition_ij(spectra, i, i + 2))
     if flag != from_prev or flag != from_long:
         raise StructuralError(
             f'flag [{i % 4}] differs between its three inducing '
@@ -310,23 +347,16 @@ def _image_inside(ctx, op, shift, coords, n, allowed, d) -> bool:
     return True
 
 
-def check_action_tables(mod, decompositions=None) -> TableReport:
-    """Verify both six-row action tables for every i in Z_4 and every n.
-
-    ``decompositions`` may supply precomputed {label: Decomposition}
-    entries to reuse; missing labels are computed here.
-    """
-    require_boxq(mod, AnalysisError)
+def check_action_tables(spectra: ModuleSpectra) -> TableReport:
+    """Verify both six-row action tables for every i in Z_4 and every n."""
+    mod = spectra.mod
     ctx = mod.ctx
-    decompositions = decompositions or {}
     decs = {}
     failures = []
     for i, j in _LABEL_PAIRS:
         label = boxq_label(i, j)
         try:
-            dec = (decompositions[label] if label in decompositions
-                   else decomposition_ij(mod, i, j))
-            decs[label] = _DecCoords(dec)
+            decs[label] = _DecCoords(decomposition_ij(spectra, i, j))
         except AnalysisError:
             failures.append(label)
     if failures:

@@ -2,7 +2,7 @@
 
 Every check runs at zero tolerance: equalities are equalities in the
 field, never approximations.  Heavy objects (reconstructed modules,
-eigenspace decompositions) are cached per field so the checks share
+spectra of their generators) are cached per field so the checks share
 them.  The final check reruns the whole battery at q = 2 and compares
 verdicts.  Run with ``pytest -s`` to see the per-criterion lines.
 """
@@ -23,6 +23,7 @@ from qtetra.dualities import (
 from qtetra.modanalysis import (
     CHAIN,
     Flag,
+    ModuleSpectra,
     check_action_tables,
     check_dimension_chain,
     check_key_containment,
@@ -79,8 +80,12 @@ def built(qkey, d, t):
 
 
 @lru_cache(maxsize=None)
+def spectra(qkey, d, t):
+    return ModuleSpectra(built(qkey, d, t))
+
+
 def dec(qkey, d, t, i, j):
-    return decomposition_ij(built(qkey, d, t), i, j)
+    return decomposition_ij(spectra(qkey, d, t), i, j)
 
 
 @lru_cache(maxsize=None)
@@ -93,8 +98,12 @@ def tensor_built(qkey):
 
 
 @lru_cache(maxsize=None)
+def tensor_spectra(qkey):
+    return ModuleSpectra(tensor_built(qkey))
+
+
 def tensor_dec(qkey, i, j):
-    return decomposition_ij(tensor_built(qkey), i, j)
+    return decomposition_ij(tensor_spectra(qkey), i, j)
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +175,7 @@ def crit_shape(qkey):
         dims = [dec(qkey, d, t, i, j).dims for i, j in ORDERED_LABELS]
         ok = ok and all(v == dims[0] for v in dims)
         ok = ok and dims[0] == tuple(reversed(dims[0]))
-    report = shape_of(tensor_built(qkey))
+    report = shape_of(tensor_spectra(qkey))
     ok = ok and report.passed and report.epsilon == 1
     ok = ok and report.shape == (1, 2, 1)
     return ok, 'tensor shape (1, 2, 1)'
@@ -181,12 +190,8 @@ def test_criterion_03_shape():
 def crit_tables(qkey):
     ok = True
     for d, t in module_keys(qkey):
-        decs = {f'x{i}{j}': dec(qkey, d, t, i, j)
-                for i, j in ORDERED_LABELS}
-        report = check_action_tables(built(qkey, d, t),
-                                     decompositions=decs)
-        ok = ok and report.passed
-    ok = ok and check_action_tables(tensor_built(qkey)).passed
+        ok = ok and check_action_tables(spectra(qkey, d, t)).passed
+    ok = ok and check_action_tables(tensor_spectra(qkey)).passed
     return ok, '12 rows x 4 corners x (d+1) weights, 19 modules'
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtetra.modanalysis as modanalysis
 from qtetra.cli import main
 from qtetra.exactla import ExactMatrix
 from qtetra.fileformat import ModuleFile, PairFile, parse_document
@@ -109,6 +110,27 @@ def test_build_tensor_rejects_stale_provenance(files, tmp_path):
 
 def test_build_tensor_rejects_wrong_algebra(files, tmp_path):
     assert run('build', 'tensor', files['mod'], files['ev']) == 1
+
+
+@pytest.mark.parametrize('provenance, reason', [
+    ({'kind': 'evaluation', 'd': 'abc', 't': 'q'}, '"d" must be an integer'),
+    ({'kind': 'evaluation', 'd': True, 't': 'q'}, '"d" must be an integer'),
+    ({'kind': 'evaluation', 'd': [1], 't': 'q'}, '"d" must be an integer'),
+    ({'kind': 'evaluation', 'd': 1}, '"t" must be scalar text'),
+    ({'kind': 'evaluation', 'd': 10 ** 9, 't': 'q'}, 'does not fit'),
+    ({'kind': 'tensor', 'factors': 'ab'}, 'exactly two factors'),
+    ({'kind': 'tensor', 'factors': [1, 2]}, 'must be an object'),
+])
+def test_build_tensor_rejects_malformed_provenance(files, tmp_path, capsys,
+                                                   provenance, reason):
+    doc = read_json(files['ev'])
+    doc['provenance'] = provenance
+    bad = str(tmp_path / 'provenance.json')
+    write_json(bad, doc)
+    start = time.perf_counter()
+    assert run('build', 'tensor', bad, files['ev']) == 1
+    assert time.perf_counter() - start < 5
+    assert reason in capsys.readouterr().err
 
 
 def test_build_bad_params():
@@ -363,6 +385,38 @@ def test_analyze_json_format(files, capsys):
 
 def test_analyze_rejects_wrong_algebra(files):
     assert run('analyze', files['ev']) == 1
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), 'golden')
+
+
+@pytest.mark.parametrize('name, code', [('boxq_d2', 0),
+                                        ('boxq_d2_x13x2', 2)])
+@pytest.mark.parametrize('fmt, suffix', [('json', 'json'), ('text', 'txt')])
+def test_analyze_golden(tmp_path, name, code, fmt, suffix):
+    # reports written before the spectra were shared: a reconstructed
+    # d = 2 module, and a copy with x13 scaled by 2
+    out = str(tmp_path / 'report')
+    assert run('analyze', os.path.join(GOLDEN, f'{name}.json'),
+               '--format', fmt, '--out', out) == code
+    with open(os.path.join(GOLDEN, f'{name}.analyze.{suffix}'), 'rb') as f:
+        expected = f.read()
+    with open(out, 'rb') as handle:
+        assert handle.read() == expected
+
+
+def test_analyze_detects_each_generator_once(monkeypatch, capsys):
+    calls = []
+    detect = modanalysis.detect_type_diameter
+
+    def counting(m):
+        calls.append(m)
+        return detect(m)
+    monkeypatch.setattr(modanalysis, 'detect_type_diameter', counting)
+    assert run('analyze', os.path.join(GOLDEN, 'boxq_d2.json'),
+               '--format', 'json') == 0
+    assert json.loads(capsys.readouterr().out)['d'] == 2
+    assert len(calls) == 8
 
 
 def test_verify_relations_pass(files, capsys):

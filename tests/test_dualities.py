@@ -1,4 +1,4 @@
-"""Twists, duals, rescaling, isomorphism table, invariant-form search."""
+"""Twists, duals, isomorphism table, invariant-form search."""
 
 from __future__ import annotations
 
@@ -14,11 +14,14 @@ from qtetra.dualities import (
     isomorphic,
     negate,
     omega_form,
-    rescale,
     twist_rho,
 )
 from qtetra.exactla import ExactMatrix
-from qtetra.modanalysis import detect_type_diameter, shape_of
+from qtetra.modanalysis import (
+    ModuleSpectra,
+    detect_type_diameter,
+    shape_of,
+)
 from qtetra.presentations import BOXQ, GENERATORS, omega_label
 from qtetra.repbuilder import (
     EvaluationParams,
@@ -71,9 +74,9 @@ def test_negate_flips_type():
     assert flipped.check().passed
     eps, d, _ = detect_type_diameter(flipped.gens['x01'])
     assert (eps, d) == (-1, 1)
-    report = shape_of(flipped)
+    report = shape_of(ModuleSpectra(flipped))
     assert report.epsilon == -1
-    assert report.shape == shape_of(mod).shape
+    assert report.shape == shape_of(ModuleSpectra(mod)).shape
     assert negate(flipped).gens == mod.gens
 
 
@@ -81,18 +84,6 @@ def test_negate_trivial_module():
     flipped = negate(boxq_module(0, 1))
     minus_one = -ExactMatrix.identity(CTX, 1)
     assert all(m == minus_one for m in flipped.gens.values())
-
-
-def test_rescale():
-    X, Y = aq_pair_of(evaluation_module(EvaluationParams(1, 'q + 1')))
-    sx, sy = rescale(X.scale(2), Y.scale(3), 2, 3)
-    assert sx == X and sy == Y
-    nx, ny = rescale(-X, -Y, -1, -1)
-    assert nx == X and ny == Y
-    with pytest.raises(DualityError):
-        rescale(X, Y, 0, 1)
-    with pytest.raises(DualityError):
-        rescale(X, Y, 1, 0)
 
 
 def test_dual_trivial_module():

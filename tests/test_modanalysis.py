@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from qtetra.exactla import ExactMatrix, Subspace
+import qtetra.modanalysis as modanalysis
+from qtetra.exactla import ExactMatrix, Subspace, spectrum_decompose
 from qtetra.modanalysis import (
     CHAIN,
     AnalysisError,
     Flag,
+    ModuleSpectra,
     StructuralError,
     check_action_tables,
     check_dimension_chain,
@@ -32,6 +37,7 @@ from qtetra.repbuilder import (
 )
 from qtetra.reconstruct import reconstruct_boxq
 from qtetra.scalars import SYMBOLIC
+from test_exactla import Q2, invertible_matrices
 
 CTX = SYMBOLIC
 Q = CTX.q
@@ -96,55 +102,172 @@ def test_detect_rejects_bad_spectra():
         detect_type_diameter(ExactMatrix.from_rows(CTX, [[1, 0]]))
 
 
+# -- the top-down scan against the ascending scan --------------------------
+
+def ascending_detect_type_diameter(m: ExactMatrix):
+    """Reference: try every d from 0 up, each with both signs."""
+    if not m.is_square():
+        raise AnalysisError('type detection needs a square matrix')
+    ctx = m.ctx
+    for d in range(m.rows):
+        for eps in (1, -1):
+            sign = ctx.one if eps == 1 else -ctx.one
+            candidates = [sign * ctx.q_power(d - 2 * n)
+                          for n in range(d + 1)]
+            dec = spectrum_decompose(m, candidates)
+            if dec is not None:
+                return eps, d, dec
+    raise AnalysisError('not a type-eps semisimple spectrum: no sign and '
+                        'diameter match the eigenvalues of this matrix')
+
+
+def detection(detect, m):
+    """(eps, d, decomposition), or the AnalysisError's message."""
+    try:
+        return detect(m)
+    except AnalysisError as exc:
+        return str(exc)
+
+
+BROKEN = ('valid', 'mixed signs', 'missing exponent',
+          'exponent above n-1', 'nilpotent block')
+
+
+@st.composite
+def q2_spectra(draw):
+    """P^-1 D P at q = 2 with P unimodular.  D is diagonal with the
+    spectrum {eps*2^(d-2n)} (each value once or twice), or that spectrum
+    broken one way; a nilpotent block is a repeated value with a 1 above
+    the diagonal."""
+    eps = draw(st.sampled_from([1, -1]))
+    d = draw(st.integers(min_value=0, max_value=3))
+    values = []
+    for n in range(d + 1):
+        values += [eps * Fraction(2) ** (d - 2 * n)] * draw(
+            st.integers(min_value=1, max_value=2))
+    broken = draw(st.sampled_from(BROKEN))
+    pick = draw(st.integers(min_value=0, max_value=len(values) - 1))
+    if broken == 'mixed signs':
+        values[pick] = -values[pick]
+    elif broken == 'missing exponent' and len(set(values)) > 1:
+        values = [v for v in values if v != values[pick]]
+    elif broken == 'exponent above n-1':
+        values[pick] = eps * Fraction(2) ** (len(values) + draw(
+            st.integers(min_value=0, max_value=2)))
+    elif broken == 'nilpotent block':
+        values.insert(pick, values[pick])
+    size = len(values)
+    rows = [[values[i] if i == j else 0 for j in range(size)]
+            for i in range(size)]
+    if broken == 'nilpotent block':
+        rows[pick][pick + 1] = 1
+    p = draw(invertible_matrices(size))
+    return p.inverse() * ExactMatrix.from_rows(Q2, rows) * p
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(q2_spectra())
+def test_top_down_detect_matches_ascending(m):
+    assert (detection(detect_type_diameter, m)
+            == detection(ascending_detect_type_diameter, m))
+
+
+def test_top_down_detect_symbolic():
+    p = mat([[1, 2, 0], [0, 1, -1], [1, 0, 1]])
+    mixed = ExactMatrix.diagonal(CTX, [Q * Q, -CTX.one, QINV * QINV])
+    cases = [p.inverse() * m * p
+             for m in boxq_module(2, 'q').gens.values()]
+    cases.append(p.inverse() * mixed * p)
+    for m in cases:
+        assert (detection(detect_type_diameter, m)
+                == detection(ascending_detect_type_diameter, m))
+    assert detection(detect_type_diameter, cases[0])[:2] == (1, 2)
+    assert isinstance(detection(detect_type_diameter, cases[-1]), str)
+
+
+def test_module_spectra_detects_each_label_once(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return detect_type_diameter(m)
+    monkeypatch.setattr(modanalysis, 'detect_type_diameter', counting)
+    mod = boxq_module(2, 'q')
+    bad = copy_with(mod, x13=mod.gens['x13'].scale(2))
+    for module, passed in ((mod, True), (bad, False)):
+        calls.clear()
+        spectra = ModuleSpectra(module)
+        table = check_action_tables(spectra)
+        assert table.passed == passed
+        if passed:
+            assert shape_of(spectra).passed
+            assert [flag_of(spectra, i).dims for i in range(4)] == [
+                (1, 2, 3)] * 4
+        else:
+            assert table.spectrum_failures == ('x13',)
+            for _ in range(2):
+                with pytest.raises(AnalysisError, match='not a type-eps'):
+                    shape_of(spectra)
+        assert len(calls) == 8
+
+
+def test_module_spectra_needs_boxq():
+    loop = evaluation_module(EvaluationParams(1, 1))
+    with pytest.raises(AnalysisError):
+        ModuleSpectra(loop)
+
+
 def test_decomposition_ij_basics():
-    mod = boxq_module(1, 'q + 1')
-    dec = decomposition_ij(mod, 0, 1)
+    spectra = ModuleSpectra(boxq_module(1, 'q + 1'))
+    dec = decomposition_ij(spectra, 0, 1)
     assert dec.component(0) == span([0, 1])
     assert dec.component(1) == span([QINV - Q, 1])
     # x02 acts as diag(q^-1, q), so its q-eigenspace is the second axis
-    dec02 = decomposition_ij(mod, 0, 2)
+    dec02 = decomposition_ij(spectra, 0, 2)
     assert dec02.component(0) == span([0, 1])
     assert dec02.component(1) == span([1, 0])
 
 
 def test_decomposition_trivial_module():
-    mod = boxq_module(0, 1)
+    spectra = ModuleSpectra(boxq_module(0, 1))
     for i in range(4):
         for j in (i + 1, i + 2):
-            assert decomposition_ij(mod, i, j).components[0].is_full()
+            assert decomposition_ij(spectra, i, j).components[0].is_full()
 
 
 def test_decomposition_rejects_negative_type():
     mod = boxq_module(1, 1)
     negated = MatrixRep(BOXQ, CTX, {g: -m for g, m in mod.gens.items()})
     with pytest.raises(AnalysisError, match='negate'):
-        decomposition_ij(negated, 0, 1)
+        decomposition_ij(ModuleSpectra(negated), 0, 1)
 
 
 def test_decomposition_rejects_bad_indices():
-    mod = boxq_module(1, 1)
+    spectra = ModuleSpectra(boxq_module(1, 1))
     for i, j in ((0, 0), (0, 3), (1, 0), (2, 1)):
         with pytest.raises(AnalysisError):
-            decomposition_ij(mod, i, j)
+            decomposition_ij(spectra, i, j)
 
 
 def test_long_decomposition_is_inversion_of_its_inverse():
     for mod in (boxq_module(1, 'q + 1'), boxq_module(2, 'q')):
+        spectra = ModuleSpectra(mod)
         for i in range(4):
-            long = decomposition_ij(mod, i, i + 2)
-            back = decomposition_ij(mod, i + 2, i)
+            long = decomposition_ij(spectra, i, i + 2)
+            back = decomposition_ij(spectra, i + 2, i)
             assert long == back.inversion()
 
 
 def test_shape_small_modules():
-    report = shape_of(boxq_module(1, 'q + 1'))
+    report = shape_of(ModuleSpectra(boxq_module(1, 'q + 1')))
     assert report.passed
     assert (report.epsilon, report.d, report.shape) == (1, 1, (1, 1))
-    assert shape_of(boxq_module(0, 1)).shape == (1,)
+    assert shape_of(ModuleSpectra(boxq_module(0, 1))).shape == (1,)
 
 
 def test_shape_tensor_module():
-    report = shape_of(tensor_module())
+    report = shape_of(ModuleSpectra(tensor_module()))
     assert report.passed
     assert report.shape == (1, 2, 1)
     assert all(dims == (1, 2, 1) for dims in report.generator_dims.values())
@@ -155,7 +278,7 @@ def test_shape_detects_nonuniform_generator():
     corrupted = copy_with(
         tensor_module(),
         x01=ExactMatrix.diagonal(CTX, [Q * Q, Q * Q, 1, QINV * QINV]))
-    report = shape_of(corrupted)
+    report = shape_of(ModuleSpectra(corrupted))
     assert not report.uniform
     assert not report.passed
     assert report.generator_dims['x01'] == (2, 1, 1)
@@ -164,22 +287,22 @@ def test_shape_detects_nonuniform_generator():
 def test_shape_detects_nonpalindromic():
     skew = ExactMatrix.diagonal(CTX, [Q * Q, Q * Q, 1, QINV * QINV])
     fake = MatrixRep(BOXQ, CTX, {g: skew for g in GENERATORS[BOXQ]})
-    report = shape_of(fake)
+    report = shape_of(ModuleSpectra(fake))
     assert report.uniform
     assert not report.palindromic
     assert not report.passed
 
 
 def test_flag_components():
-    mod = boxq_module(1, 'q + 1')
-    assert flag_of(mod, 0).components[0] == span([0, 1])
-    assert flag_of(mod, 2).components[0] == span([1, 0])
+    spectra = ModuleSpectra(boxq_module(1, 'q + 1'))
+    assert flag_of(spectra, 0).components[0] == span([0, 1])
+    assert flag_of(spectra, 2).components[0] == span([1, 0])
     for i in range(4):
-        flag = flag_of(mod, i)
+        flag = flag_of(spectra, i)
         assert flag.dims == (1, 2)
         assert flag.component(-1).is_zero()
         assert flag.component(5).is_full()
-    assert flag_of(boxq_module(0, 1), 3).dims == (1,)
+    assert flag_of(ModuleSpectra(boxq_module(0, 1)), 3).dims == (1,)
 
 
 def test_flag_consistency_violation():
@@ -187,7 +310,7 @@ def test_flag_consistency_violation():
     corrupted = copy_with(boxq_module(1, 'q + 1'),
                           x02=ExactMatrix.diagonal(CTX, [Q, QINV]))
     with pytest.raises(StructuralError):
-        flag_of(corrupted, 0)
+        flag_of(ModuleSpectra(corrupted), 0)
 
 
 def test_flag_validation():
@@ -198,23 +321,23 @@ def test_flag_validation():
 
 
 def test_opposite_flag_pairs():
-    mod = boxq_module(1, 'q + 1')
-    dec = check_opposite(flag_of(mod, 0), flag_of(mod, 1))
+    spectra = ModuleSpectra(boxq_module(1, 'q + 1'))
+    dec = check_opposite(flag_of(spectra, 0), flag_of(spectra, 1))
     assert dec is not None
-    assert dec == decomposition_ij(mod, 0, 1)
-    dec13 = check_opposite(flag_of(mod, 1), flag_of(mod, 3))
+    assert dec == decomposition_ij(spectra, 0, 1)
+    dec13 = check_opposite(flag_of(spectra, 1), flag_of(spectra, 3))
     assert dec13 is not None
-    assert dec13 == decomposition_ij(mod, 1, 3)
+    assert dec13 == decomposition_ij(spectra, 1, 3)
 
 
 def test_flag_not_opposite_to_itself():
-    flag = flag_of(boxq_module(1, 'q + 1'), 0)
+    flag = flag_of(ModuleSpectra(boxq_module(1, 'q + 1')), 0)
     assert check_opposite(flag, flag) is None
 
 
 def test_opposite_requires_matching_flags():
-    a = flag_of(boxq_module(1, 'q + 1'), 0)
-    b = flag_of(tensor_module(), 0)
+    a = flag_of(ModuleSpectra(boxq_module(1, 'q + 1')), 0)
+    b = flag_of(ModuleSpectra(tensor_module()), 0)
     with pytest.raises(AnalysisError):
         check_opposite(a, b)
 
@@ -222,7 +345,7 @@ def test_opposite_requires_matching_flags():
 def test_action_tables_pass_on_valid_modules():
     for mod in (boxq_module(0, 1), boxq_module(1, 'q + 1'),
                 boxq_module(2, 'q')):
-        report = check_action_tables(mod)
+        report = check_action_tables(ModuleSpectra(mod))
         assert report.passed
         assert report.violations == ()
         assert report.spectrum_failures == ()
@@ -231,7 +354,7 @@ def test_action_tables_pass_on_valid_modules():
 def test_action_tables_entry_perturbation():
     mod = boxq_module(1, 'q + 1')
     bad = mod.gens['x01'] + mat([[0, 1], [0, 0]])
-    report = check_action_tables(copy_with(mod, x01=bad))
+    report = check_action_tables(ModuleSpectra(copy_with(mod, x01=bad)))
     assert not report.passed
     assert 'x01' in report.spectrum_failures
 
@@ -241,7 +364,7 @@ def test_action_tables_moved_eigenspaces():
     mod = boxq_module(1, 'q + 1')
     p = mat([[1, 1], [0, 1]])
     moved = p * mod.gens['x01'] * p.inverse()
-    report = check_action_tables(copy_with(mod, x01=moved))
+    report = check_action_tables(ModuleSpectra(copy_with(mod, x01=moved)))
     assert not report.passed
     assert report.violations
     tables = {v[0] for v in report.violations}
