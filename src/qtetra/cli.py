@@ -46,6 +46,7 @@ from qtetra.repbuilder import (
     MatrixRep,
     RepError,
     aq_pair_of,
+    certify,
     evaluation_module,
     tensor_modules,
     uqsl2_equitable_module,
@@ -201,7 +202,7 @@ def _analyze_report(mod: MatrixRep) -> dict:
     spectra = ModuleSpectra(mod)
     report = {}
     passed = True
-    d = None
+    theta = None
     try:
         shape = shape_of(spectra)
         report['epsilon'] = shape.epsilon
@@ -210,7 +211,7 @@ def _analyze_report(mod: MatrixRep) -> dict:
         report['shape_uniform'] = shape.uniform
         report['shape_palindromic'] = shape.palindromic
         passed = passed and shape.passed
-        d = shape.d
+        theta = shape.epsilon * mod.ctx.q_power(shape.d)
     except AnalysisError as exc:
         report['shape_error'] = str(exc)
         passed = False
@@ -234,11 +235,11 @@ def _analyze_report(mod: MatrixRep) -> dict:
     report['flag_oppositeness'] = {'pairs': pairs, 'passed': flags_ok}
     passed = passed and flags_ok
 
-    if d is None:
+    if theta is None:
         report['dimension_chains'] = {'skipped': 'diameter unknown'}
     else:
         try:
-            chain = check_dimension_chain(mod, mod.ctx.q_power(d))
+            chain = check_dimension_chain(mod, theta)
             report['dimension_chains'] = chain.to_dict()
             passed = passed and chain.passed
         except AnalysisError as exc:
@@ -353,12 +354,14 @@ def cmd_verify(args) -> int:
 # -- dualities -------------------------------------------------------------
 
 def cmd_twist(args) -> int:
-    _emit_module(twist_rho(_load_boxq(args), args.n), args.out)
+    mod = certify(_load_boxq(args), CliError)
+    _emit_module(twist_rho(mod, args.n), args.out)
     return EXIT_PASS
 
 
 def cmd_dual(args) -> int:
-    _emit_module(dual_module(_load_boxq(args)), args.out)
+    mod = certify(_load_boxq(args), CliError)
+    _emit_module(dual_module(mod), args.out)
     return EXIT_PASS
 
 
@@ -373,7 +376,8 @@ def _eightfold_text(blob: dict) -> str:
 
 
 def cmd_eightfold(args) -> int:
-    table = eightfold_comparison(_load_boxq(args)).to_dict()
+    mod = certify(_load_boxq(args), CliError)
+    table = eightfold_comparison(mod).to_dict()
     if args.format == 'json':
         _emit(_json_text(table), args.out)
     else:

@@ -293,10 +293,12 @@ def crit_dualities(qkey):
     mods.append(tensor_built(qkey))
     for mod in mods:
         try:
+            # the transforms certify nothing, so each result is checked
             for n in (1, 2, 3):
-                twist_rho(mod, n)       # constructors certify relations
-            negate(mod)
+                ok = ok and twist_rho(mod, n).check().passed
+            ok = ok and negate(mod).check().passed
             dual = dual_module(mod)
+            ok = ok and dual.check().passed
         except Exception:
             ok = False
             continue

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import qtetra.modanalysis as modanalysis
 from qtetra.cli import main
+from qtetra.dualities import negate
 from qtetra.exactla import ExactMatrix
 from qtetra.fileformat import ModuleFile, PairFile, parse_document
 from qtetra.presentations import GENERATORS
@@ -405,6 +406,24 @@ def test_analyze_golden(tmp_path, name, code, fmt, suffix):
         assert handle.read() == expected
 
 
+def test_analyze_chain_of_negated_module(tmp_path, capsys):
+    # a type -1 module's chain is taken at theta = -q^d, where its
+    # eigenspaces are, not at q^d, where all eight are zero
+    with open(os.path.join(GOLDEN, 'boxq_d2.json')) as handle:
+        mod = parse_document(handle.read()).to_module()
+    path = str(tmp_path / 'negated.json')
+    with open(path, 'w') as handle:
+        handle.write(ModuleFile.from_module(negate(mod)).to_json())
+    assert run('analyze', path, '--format', 'json') == 2
+    chain = json.loads(capsys.readouterr().out)['dimension_chains']
+    assert chain['theta'] == '-q^2'
+    assert chain['dims'] == [1] * 8
+    assert chain['passed'] is True
+    assert run('analyze', path) == 2
+    assert ('dimension chain at theta = -q^2: pass'
+            in capsys.readouterr().out.splitlines())
+
+
 def test_analyze_detects_each_generator_once(monkeypatch, capsys):
     calls = []
     detect = modanalysis.detect_type_diameter
@@ -490,6 +509,25 @@ def test_omega_form_report(files, capsys):
                '--format', 'json') == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob['gram'][0][0] == '1'
+
+
+INVALID = os.path.join(GOLDEN, 'boxq_d2_x13x2.json')
+
+
+@pytest.mark.parametrize('argv', [('twist', '--n', '1'), ('dual',),
+                                  ('eightfold',)])
+def test_transforms_reject_module_failing_relations(argv, capsys):
+    # relations are certified once, on the module read from the file
+    assert run('dualities', argv[0], INVALID, *argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert 'fails relations' in captured.err
+
+
+def test_omega_form_reports_on_module_failing_relations(capsys):
+    # the form search is a report: it does not certify its input
+    assert run('dualities', 'omega-form', INVALID) == 0
+    assert 'solution space dimension:' in capsys.readouterr().out
 
 
 def test_dualities_reject_wrong_algebra(files):

@@ -5,6 +5,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qtetra.dualities import (
     EIGHTFOLD_LABELS,
@@ -33,9 +35,11 @@ from qtetra.repbuilder import (
 from qtetra.reconstruct import reconstruct_boxq
 from qtetra.scalars import SYMBOLIC
 from test_exactla import (
+    Q2,
     all_equations_intertwiner_space,
     boxq_q2,
     direct_sum,
+    invertible_matrices,
 )
 
 CTX = SYMBOLIC
@@ -218,3 +222,47 @@ def test_eightfold_and_omega_form_match_all_equations(which, monkeypatch):
                         all_equations_intertwiner_space)
     assert table.isomorphic == _brute_force_eightfold(mod)
     assert form == omega_form(mod).to_dict()
+
+
+# -- the transforms carry the relation verdict ------------------------------
+
+CORRUPTIONS = ('swap', 'scale', 'transpose', 'conjugate', 'shift')
+
+
+@st.composite
+def q2_modules_maybe_corrupted(draw):
+    """A q = 2 BOXQ module (a direct sum or not), left valid half the
+    time, else with one generator swapped with another, scaled by 2,
+    transposed, conjugated or shifted by the identity."""
+    mod = boxq_q2(draw(st.integers(min_value=0, max_value=3)),
+                  draw(st.sampled_from(['1', '3'])))
+    if draw(st.booleans()):
+        mod = direct_sum(mod, boxq_q2(1, '3'))
+    gens = dict(mod.gens)
+    g, h = draw(st.permutations(GENERATORS[BOXQ]))[:2]
+    how = draw(st.sampled_from(CORRUPTIONS)) if draw(st.booleans()) else None
+    if how == 'swap':
+        gens[g], gens[h] = gens[h], gens[g]
+    elif how == 'scale':
+        gens[g] = gens[g].scale(Q2.coerce(2))
+    elif how == 'transpose':
+        gens[g] = gens[g].transpose()
+    elif how == 'conjugate':
+        p = draw(invertible_matrices(mod.dimension))
+        gens[g] = p * gens[g] * p.inverse()
+    elif how == 'shift':
+        gens[g] = gens[g] + ExactMatrix.identity(Q2, mod.dimension)
+    return MatrixRep(BOXQ, Q2, gens)
+
+
+TRANSFORMS = st.sampled_from(
+    [(f'rho^{n}', lambda m, n=n: twist_rho(m, n)) for n in range(1, 4)]
+    + [('dual', dual_module), ('negate', negate)])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(q2_modules_maybe_corrupted(), TRANSFORMS)
+def test_transforms_keep_relation_verdict(mod, transform):
+    _, fn = transform
+    assert fn(mod).check().passed == mod.check().passed

@@ -10,7 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qtetra.modanalysis as modanalysis
-from qtetra.exactla import ExactMatrix, Subspace, spectrum_decompose
+from qtetra.exactla import (
+    Decomposition,
+    ExactMatrix,
+    Subspace,
+    spectrum_decompose,
+    subspace_sum,
+)
 from qtetra.modanalysis import (
     CHAIN,
     AnalysisError,
@@ -340,6 +346,80 @@ def test_opposite_requires_matching_flags():
     b = flag_of(ModuleSpectra(tensor_module()), 0)
     with pytest.raises(AnalysisError):
         check_opposite(a, b)
+
+
+# -- the opposite-flag lemma against the full check ------------------------
+
+def reference_check_opposite(a: Flag, b: Flag):
+    """Reference: every a_i /\\ b_j with i + j < d, then the direct sum
+    of the V_n, and both flags induced back from it."""
+    if a.d != b.d or a.ambient_dim != b.ambient_dim:
+        raise AnalysisError('flags must share diameter and ambient space')
+    d = a.d
+    for i in range(d + 1):
+        for j in range(d - i):
+            if not a.component(i).intersect(b.component(j)).is_zero():
+                return None
+    components = [a.component(n).intersect(b.component(d - n))
+                  for n in range(d + 1)]
+    total, direct = subspace_sum(components)
+    if not (direct and total.is_full()):
+        return None
+    dec = Decomposition(a.ctx, a.ambient_dim, components)
+    if Flag.from_decomposition(dec) != a:
+        return None
+    if Flag.from_decomposition(dec.inversion()) != b:
+        return None
+    return dec
+
+
+def _flag_from_columns(p: ExactMatrix, cuts):
+    """The flag whose n-th component spans the first cuts[n] columns."""
+    columns = [[row[k] for row in p.data] for k in range(p.cols)]
+    return Flag(Q2, p.rows, [Subspace.from_vectors(Q2, p.rows, columns[:c])
+                             for c in cuts])
+
+
+@st.composite
+def q2_flag_pairs(draw):
+    """Two q = 2 flags of one diameter on Q^n.  'opposite' reads a and b
+    off one basis, from its two ends with the same cut; 'perturbed' adds
+    a column to another in b's copy of the basis; 'mismatched cut' gives
+    b another cut of the same basis; 'random' gives b its own basis."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    d = draw(st.integers(min_value=0, max_value=n))
+    cut = st.lists(st.integers(min_value=0, max_value=n), min_size=d,
+                   max_size=d).map(lambda c: sorted(c) + [n])
+    cuts_a = draw(cut)
+    kind = draw(st.sampled_from(['opposite', 'perturbed', 'mismatched cut',
+                                 'random']))
+    p = draw(invertible_matrices(n))
+    reverse = ExactMatrix.from_rows(
+        Q2, [[int(i + j == n - 1) for j in range(n)] for i in range(n)])
+    # b's basis runs from the other end, so with the same cut its
+    # components are sums of a's last blocks
+    cuts_b = [n - c for c in reversed([0] + cuts_a[:-1])]
+    p_b = p * reverse
+    if kind == 'perturbed' and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        k = draw(st.integers(min_value=-2, max_value=2))
+        rows = [list(row) for row in p_b.data]
+        for row in rows:
+            row[i] = row[i] + k * row[j]
+        p_b = ExactMatrix.from_rows(Q2, rows)
+    elif kind == 'mismatched cut':
+        cuts_b = draw(cut)
+    elif kind == 'random':
+        p_b = draw(invertible_matrices(n))
+    return _flag_from_columns(p, cuts_a), _flag_from_columns(p_b, cuts_b)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(q2_flag_pairs())
+def test_check_opposite_matches_reference(pair):
+    a, b = pair
+    assert check_opposite(a, b) == reference_check_opposite(a, b)
 
 
 def test_action_tables_pass_on_valid_modules():

@@ -3,22 +3,30 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qtetra.exactla import ExactMatrix
+from qtetra.modanalysis import Flag
+from qtetra.presentations import AQ, BOXQ, boxq_label, check_representation
 from qtetra.repbuilder import (
     EvaluationParams,
+    MatrixRep,
     aq_pair_of,
     evaluation_module,
     tensor_modules,
 )
 from qtetra.reconstruct import (
     ReconstructError,
+    _matrix_with_eigenvalues,
     irreducible_pair,
     pair_profile,
     reconstruct_boxq,
     roundtrip_verify,
 )
 from qtetra.scalars import SYMBOLIC
+from test_exactla import boxq_q2, invertible_matrices
+from test_modanalysis import reference_check_opposite
 
 CTX = SYMBOLIC
 Q = CTX.q
@@ -177,3 +185,61 @@ def test_error_carries_stage():
         assert 'spectrum mismatch' in str(err)
     else:  # pragma: no cover
         raise AssertionError('expected a stage failure')
+
+
+# -- reconstruct o extract = identity, against the eight-matrix build -------
+
+def reference_reconstruct_boxq(X, Y):
+    """Reference: all six flag pairs through the full opposite check, all
+    eight generators built from eigenvalues, and the rebuilt x01 and x23
+    compared with the input pair."""
+    profile = pair_profile(X, Y)
+    if not check_representation(AQ, {'x': X, 'y': Y}).passed:
+        raise ReconstructError('aq relations', 'failing')
+    if not irreducible_pair(X, Y).full:
+        raise ReconstructError('irreducibility', 'reducible')
+    flags = {
+        0: Flag.from_decomposition(profile.dec_x),
+        1: Flag.from_decomposition(profile.dec_x.inversion()),
+        2: Flag.from_decomposition(profile.dec_y),
+        3: Flag.from_decomposition(profile.dec_y.inversion()),
+    }
+    decs = {}
+    for a in range(4):
+        for b in range(a + 1, 4):
+            dec = reference_check_opposite(flags[a], flags[b])
+            if dec is None:
+                raise ReconstructError('flags not opposite', f'[{a}], [{b}]')
+            decs[a, b] = dec
+    gens = {}
+    for i in range(4):
+        for j in (i + 1, i + 2):
+            jj = j % 4
+            dec = decs[i, jj] if (i, jj) in decs else decs[jj, i].inversion()
+            gens[boxq_label(i, j)] = _matrix_with_eigenvalues(dec)
+    if not check_representation(BOXQ, gens).passed:
+        raise ReconstructError('relation check', 'failing')
+    if gens['x01'] != X or gens['x23'] != Y:
+        raise ReconstructError('consistency', 'x01/x23 differ from the pair')
+    return MatrixRep(BOXQ, X.ctx, gens)
+
+
+@st.composite
+def conjugated_q2_modules(draw):
+    """A q = 2 module with d <= 4 and a unimodular conjugator P."""
+    d = draw(st.integers(min_value=0, max_value=4))
+    mod = boxq_q2(d, draw(st.sampled_from(['1', '3', '1/2'])))
+    return mod, draw(invertible_matrices(mod.dimension))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(conjugated_q2_modules())
+def test_reconstruct_extract_identity_on_conjugates(case):
+    mod, p = case
+    p_inv = p.inverse()
+    moved = {g: p * m * p_inv for g, m in mod.gens.items()}
+    rebuilt = reconstruct_boxq(moved['x01'], moved['x23'])
+    assert rebuilt.gens == moved
+    reference = reference_reconstruct_boxq(moved['x01'], moved['x23'])
+    assert rebuilt.gens == reference.gens
