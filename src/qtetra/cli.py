@@ -18,7 +18,7 @@ from qtetra.dualities import (
     omega_form,
     twist_rho,
 )
-from qtetra.exactla import LinAlgError, default_word_cap, specialize_matrix
+from qtetra.exactla import specialize_matrix
 from qtetra.fileformat import (
     FileFormatError,
     ModuleFile,
@@ -315,11 +315,7 @@ def cmd_reconstruct(args) -> int:
                 f'file, got a {mod.algebra_id} module')
         X, Y = aq_pair_of(mod)
     X, Y = _at_q([X, Y], args.q)
-    try:
-        cap = default_word_cap(X.rows)
-    except LinAlgError as exc:
-        raise CliError(str(exc)) from None
-    _emit_module(reconstruct_boxq(X, Y, cap), args.out)
+    _emit_module(reconstruct_boxq(X, Y), args.out)
     return EXIT_PASS
 
 

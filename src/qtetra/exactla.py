@@ -7,15 +7,16 @@ that equality of subspaces is plain ``==`` on the stored vectors; this is
 what lets decompositions and flags be compared structurally elsewhere.
 
 The one place specialization is used as more than a convenience is
-``algebra_closure_dim``: full rank at a specialized q certifies full rank
-over Q(q) (a matrix's rank can only drop under evaluation), so the Burnside
-certificate tries a few sample points before falling back to the exact
-symbolic span.  A "not full" verdict is always established symbolically.
+``algebra_closure_dim``, the Burnside certificate.  It returns the
+dimension of the whole algebra the generators span: n^2 certifies absolute
+irreducibility, and less than n^2 certifies a proper invariant structure.
+Full rank at a specialized q certifies full rank over Q(q) (a matrix's
+rank can only drop under evaluation), so the certificate tries a few sample
+points before falling back to the exact symbolic span.  A "not full"
+verdict is always established symbolically.
 """
 
 from __future__ import annotations
-
-import os
 
 from qtetra.scalars import (
     FieldContext,
@@ -23,7 +24,6 @@ from qtetra.scalars import (
     specialized,
 )
 
-WORD_CAP_ENV = 'QTETRA_WORD_CAP'
 _CERTIFICATE_POINTS = (2, 3, 5)
 
 
@@ -448,16 +448,15 @@ class Decomposition:
                 and self.components == other.components)
 
 
-def spectrum_decompose(m: ExactMatrix, candidates, allow_zero=False,
-                       first=None):
+def spectrum_decompose(m: ExactMatrix, candidates, first=None):
     """Eigenspace decomposition for the given candidate eigenvalues.
 
     Returns the ordered Decomposition iff the eigenspaces fill the whole
     space (eigenspaces of distinct eigenvalues are independent, so filling
-    is equivalent to the dimensions summing to n); otherwise None.  With
-    ``allow_zero`` false, a candidate with no eigenvector also yields None.
-    ``first`` is the eigenspace of ``candidates[0]`` when the caller has
-    computed it already.
+    is equivalent to the dimensions summing to n); otherwise None.  A
+    candidate with no eigenvector also yields None.  ``first`` is the
+    eigenspace of ``candidates[0]`` when the caller has computed it
+    already.
     """
     if not m.is_square():
         raise LinAlgError('spectrum_decompose needs a square matrix')
@@ -471,7 +470,7 @@ def spectrum_decompose(m: ExactMatrix, candidates, allow_zero=False,
     for index, theta in enumerate(candidates):
         space = (first if index == 0 and first is not None
                  else eigenspace(m, theta))
-        if not allow_zero and space.is_zero():
+        if space.is_zero():
             return None
         remaining -= space.dim
         if remaining < 0:
@@ -486,31 +485,14 @@ def _flatten(m: ExactMatrix):
     return [v for row in m.data for v in row]
 
 
-def default_word_cap(n: int) -> int:
-    """Word-length cap of the closure search: $QTETRA_WORD_CAP, else 2n."""
-    env = os.environ.get(WORD_CAP_ENV)
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise LinAlgError(f'{WORD_CAP_ENV} must be an integer, '
-                              f'got {env!r}') from None
-        if cap < 1:
-            raise LinAlgError(f'{WORD_CAP_ENV} must be positive, got {cap}')
-        return cap
-    return 2 * n
-
-
-def _closure_span(gens, cap, n):
+def _closure_span(gens, n):
     ctx = gens[0].ctx
     full = n * n
     ech = _Echelon(ctx, full)
     ident = ExactMatrix.identity(ctx, n)
     ech.insert(_flatten(ident))
     frontier = [ident]
-    length = 0
-    while frontier and length < cap and ech.dim < full:
-        length += 1
+    while frontier and ech.dim < full:
         new_frontier = []
         for w in frontier:
             for g in gens:
@@ -520,20 +502,21 @@ def _closure_span(gens, cap, n):
             if ech.dim == full:
                 break
         frontier = new_frontier
-        if ech.dim == full:
-            break
-    stabilized = ech.dim == full or not frontier
-    return ech.dim, stabilized
+    return ech.dim
 
 
-def algebra_closure_dim(gens, cap=None):
-    """Dimension of the span of all words in ``gens`` up to the cap.
+def algebra_closure_dim(gens):
+    """Dimension of the algebra generated by ``gens``.
 
-    Returns (dim, stabilized).  The identity (empty word) is always
-    included; dim = n^2 certifies absolute irreducibility, and a stabilized
-    dim < n^2 certifies a proper invariant structure.  For symbolic inputs
-    a full-rank result at a specialized sample point is accepted as the
-    (sound) certificate; everything else is computed symbolically.
+    The span of all words (the identity, the empty word, included) grows
+    one word length at a time; a word w*g is kept only when it is
+    independent of the words kept so far, and the search stops when a
+    length adds none, so at most n^2 words are kept.  The result is the
+    dimension of the whole algebra: n^2 certifies absolute
+    irreducibility, and less than n^2 certifies a proper invariant
+    structure.  For symbolic inputs a full-rank result at a specialized
+    sample point is accepted as the (sound) certificate; everything else
+    is computed symbolically.
     """
     gens = list(gens)
     if not gens:
@@ -545,8 +528,6 @@ def algebra_closure_dim(gens, cap=None):
             raise LinAlgError('generators must be square of equal size')
         if g.ctx != ctx:
             raise LinAlgError('generators from different field contexts')
-    if cap is None:
-        cap = default_word_cap(n)
     if ctx.is_symbolic:
         for point in _CERTIFICATE_POINTS:
             spec_ctx = specialized(point)
@@ -554,10 +535,9 @@ def algebra_closure_dim(gens, cap=None):
                 spec_gens = [specialize_matrix(g, spec_ctx) for g in gens]
             except SpecializationError:
                 continue
-            dim, _ = _closure_span(spec_gens, cap, n)
-            if dim == n * n:
-                return dim, True
-    return _closure_span(gens, cap, n)
+            if _closure_span(spec_gens, n) == n * n:
+                return n * n
+    return _closure_span(gens, n)
 
 
 def intertwiner_space(gens_a, gens_b) -> Subspace:

@@ -189,15 +189,6 @@ class ShapeReport:
     def passed(self) -> bool:
         return self.uniform and self.palindromic
 
-    def to_dict(self) -> dict:
-        return {
-            'epsilon': self.epsilon, 'd': self.d, 'shape': list(self.shape),
-            'uniform': self.uniform, 'palindromic': self.palindromic,
-            'generator_dims': {g: list(v)
-                               for g, v in self.generator_dims.items()},
-            'passed': self.passed,
-        }
-
 
 def shape_of(spectra: ModuleSpectra) -> ShapeReport:
     """Read the shape and certify it is generator-independent."""

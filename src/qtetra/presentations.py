@@ -38,9 +38,6 @@ GENERATORS = {
     AQ: ('x', 'y'),
 }
 
-ALGEBRAS = tuple(GENERATORS)
-
-
 class PresentationError(ValueError):
     """Unknown algebra, missing generator, or malformed assignment."""
 

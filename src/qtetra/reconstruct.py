@@ -71,7 +71,6 @@ class IrreducibilityCertificate:
 
     dimension: int
     closure_dim: int
-    stabilized: bool
 
     @property
     def full(self) -> bool:
@@ -80,7 +79,6 @@ class IrreducibilityCertificate:
     def to_dict(self) -> dict:
         return {'dimension': self.dimension,
                 'closure_dim': self.closure_dim,
-                'stabilized': self.stabilized,
                 'full': self.full}
 
 
@@ -112,11 +110,10 @@ def pair_profile(X: ExactMatrix, Y: ExactMatrix) -> AqPairProfile:
     return AqPairProfile(dx, dec_x, dec_y)
 
 
-def irreducible_pair(X: ExactMatrix, Y: ExactMatrix,
-                     cap=None) -> IrreducibilityCertificate:
+def irreducible_pair(X: ExactMatrix,
+                     Y: ExactMatrix) -> IrreducibilityCertificate:
     """Burnside certificate for the algebra generated by the pair."""
-    dim, stabilized = algebra_closure_dim([X, Y], cap)
-    return IrreducibilityCertificate(X.rows, dim, stabilized)
+    return IrreducibilityCertificate(X.rows, algebra_closure_dim([X, Y]))
 
 
 def _matrix_with_eigenvalues(dec) -> ExactMatrix:
@@ -132,13 +129,8 @@ def _matrix_with_eigenvalues(dec) -> ExactMatrix:
     return basis * ExactMatrix.diagonal(ctx, diag) * basis.inverse()
 
 
-def reconstruct_boxq(X: ExactMatrix, Y: ExactMatrix,
-                     cap=None) -> MatrixRep:
-    """Build the unique eight-generator module structure over a pair.
-
-    ``cap`` bounds the word length of the irreducibility search; ``None``
-    uses the default bound.
-    """
+def reconstruct_boxq(X: ExactMatrix, Y: ExactMatrix) -> MatrixRep:
+    """Build the unique eight-generator module structure over a pair."""
     profile = pair_profile(X, Y)
     ctx, d = X.ctx, profile.d
 
@@ -147,12 +139,12 @@ def reconstruct_boxq(X: ExactMatrix, Y: ExactMatrix,
         raise ReconstructError('aq relations',
                                f'failing: {list(aq_report.failing)}')
 
-    cert = irreducible_pair(X, Y, cap)
+    cert = irreducible_pair(X, Y)
     if not cert.full:
         raise ReconstructError(
             'irreducibility',
             f'pair generates a dim-{cert.closure_dim} algebra, need '
-            f'{X.rows ** 2} (reducible or undecided input rejected)')
+            f'{X.rows ** 2} (reducible input rejected)')
 
     flags = {
         0: Flag.from_decomposition(profile.dec_x),
@@ -181,8 +173,7 @@ def reconstruct_boxq(X: ExactMatrix, Y: ExactMatrix,
 
     return MatrixRep(BOXQ, ctx, gens,
                      provenance={'kind': 'reconstructed', 'd': d},
-                     aux={'profile': profile,
-                          'irreducibility': cert,
+                     aux={'irreducibility': cert,
                           'relations': report})
 
 
@@ -192,9 +183,6 @@ class RoundtripReport:
 
     passed: bool
     mismatched: tuple
-
-    def to_dict(self) -> dict:
-        return {'passed': self.passed, 'mismatched': list(self.mismatched)}
 
 
 def roundtrip_verify(mod: MatrixRep) -> RoundtripReport:

@@ -86,8 +86,10 @@ def certify(rep: MatrixRep, error: type = RepError) -> MatrixRep:
     """``rep`` itself once every relation holds on it; else raise ``error``."""
     report = rep.check()
     if not report.passed:
-        raise error(f'{rep.provenance.get("kind")} {rep.algebra_id} module '
-                    f'fails relations: {list(report.failing)}')
+        kind = rep.provenance.get('kind')
+        named = f'{kind} ' if isinstance(kind, str) else ''
+        raise error(f'{named}{rep.algebra_id} module fails relations: '
+                    f'{list(report.failing)}')
     return rep
 
 

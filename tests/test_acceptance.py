@@ -247,8 +247,7 @@ def crit_irreducibility(qkey):
     ok = True
     for d, t in module_keys(qkey):
         cert = built(qkey, d, t).aux['irreducibility']
-        ok = (ok and cert.full and cert.stabilized
-              and cert.closure_dim == (d + 1) ** 2)
+        ok = ok and cert.full and cert.closure_dim == (d + 1) ** 2
     resonant_t2 = 'q^2' if qkey == SYMBOLIC_KEY else str(Fraction(qkey) ** 2)
     resonant = tensor_modules(loop_module(qkey, 1, t_values(qkey)[0]),
                               loop_module(qkey, 1, resonant_t2))

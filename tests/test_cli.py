@@ -343,15 +343,15 @@ def test_reconstruct_rejects_boxq_input(files):
     assert run('reconstruct', files['mod']) == 1
 
 
-def test_reconstruct_word_cap_env(files, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv('QTETRA_WORD_CAP', 'abc')
-    assert run('reconstruct', files['ev']) == 1
+def test_reconstruct_ignores_word_cap_env(files, tmp_path, monkeypatch):
+    # the closure search runs until its span stops growing; no variable
+    # bounds its word length
+    plain = str(tmp_path / 'plain.json')
+    assert run('reconstruct', files['ev'], '--out', plain) == 0
     monkeypatch.setenv('QTETRA_WORD_CAP', '1')
-    assert run('reconstruct', files['ev']) == 2
-    assert 'irreducibility' in capsys.readouterr().err
-    monkeypatch.setenv('QTETRA_WORD_CAP', '8')
-    out = str(tmp_path / 'capped.json')
-    assert run('reconstruct', files['ev'], '--out', out) == 0
+    capped = str(tmp_path / 'capped.json')
+    assert run('reconstruct', files['ev'], '--out', capped) == 0
+    assert open(capped).read() == open(plain).read()
 
 
 def test_analyze_pass(files, capsys):
@@ -512,16 +512,29 @@ def test_omega_form_report(files, capsys):
 
 
 INVALID = os.path.join(GOLDEN, 'boxq_d2_x13x2.json')
+TRANSFORMS = [('twist', '--n', '1'), ('dual',), ('eightfold',)]
 
 
-@pytest.mark.parametrize('argv', [('twist', '--n', '1'), ('dual',),
-                                  ('eightfold',)])
+@pytest.mark.parametrize('argv', TRANSFORMS)
 def test_transforms_reject_module_failing_relations(argv, capsys):
     # relations are certified once, on the module read from the file
     assert run('dualities', argv[0], INVALID, *argv[1:]) == 1
     captured = capsys.readouterr()
     assert captured.out == ''
     assert 'fails relations' in captured.err
+
+
+@pytest.mark.parametrize('argv', TRANSFORMS)
+def test_failing_module_without_provenance_names_no_kind(argv, tmp_path,
+                                                         capsys):
+    doc = read_json(INVALID)
+    del doc['provenance']
+    bare = str(tmp_path / 'bare.json')
+    write_json(bare, doc)
+    assert run('dualities', argv[0], bare, *argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('error: BOXQ module fails relations: [')
+    assert 'None' not in err
 
 
 def test_omega_form_reports_on_module_failing_relations(capsys):

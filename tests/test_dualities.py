@@ -72,6 +72,30 @@ def test_twist_group_law():
             assert twice.gens == singles[(a + b) % 4].gens
 
 
+@st.composite
+def conjugated_q2_reconstructions(draw):
+    """A q = 2 module reconstructed from P (x01, x23) P^-1, with d <= 3 and
+    P unimodular."""
+    mod = boxq_q2(draw(st.integers(min_value=0, max_value=3)),
+                  draw(st.sampled_from(['1', '3', '1/2'])))
+    p = draw(invertible_matrices(mod.dimension))
+    p_inv = p.inverse()
+    return reconstruct_boxq(p * mod.gens['x01'] * p_inv,
+                            p * mod.gens['x23'] * p_inv)
+
+
+SHIFTS = st.integers(min_value=-8, max_value=8)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(conjugated_q2_reconstructions(), SHIFTS, SHIFTS)
+def test_twist_group_law_and_involutions(mod, a, b):
+    assert twist_rho(twist_rho(mod, a), b).gens == twist_rho(mod, a + b).gens
+    assert dual_module(dual_module(mod)).gens == mod.gens
+    assert negate(negate(mod)).gens == mod.gens
+
+
 def test_negate_flips_type():
     mod = boxq_module(1, 'q + 1')
     flipped = negate(mod)
