@@ -146,38 +146,6 @@ def cmd_build_uqsl2(args) -> int:
     return EXIT_PASS
 
 
-def _rebuild_loop(provenance, ctx, dimension: int) -> MatrixRep:
-    """Rebuild a loop module from its provenance.
-
-    The provenance is file data, so each field's JSON type is checked, and
-    no factor may exceed ``dimension``, the size of the stated module.
-    """
-    if not isinstance(provenance, dict):
-        raise CliError('tensor-factor provenance must be an object, '
-                       f'got {type(provenance).__name__}')
-    kind = provenance.get('kind')
-    if kind == 'evaluation':
-        d, t = provenance.get('d'), provenance.get('t')
-        if type(d) is not int:  # JSON true/false decode to bool, an int
-            raise CliError(
-                f'evaluation provenance: "d" must be an integer, got {d!r}')
-        if not isinstance(t, str):
-            raise CliError(
-                f'evaluation provenance: "t" must be scalar text, got {t!r}')
-        if d + 1 > dimension:
-            raise CliError(f'evaluation provenance: d = {d} does not fit '
-                           f'a module of dimension {dimension}')
-        return evaluation_module(EvaluationParams(d, t), ctx)
-    if kind == 'tensor':
-        factors = provenance.get('factors', [])
-        if not isinstance(factors, list) or len(factors) != 2:
-            raise CliError('tensor provenance needs exactly two factors')
-        left = _rebuild_loop(factors[0], ctx, dimension)
-        return tensor_modules(left, _rebuild_loop(factors[1], ctx, dimension))
-    raise CliError(
-        f'cannot rebuild tensor-factor data from provenance kind {kind!r}')
-
-
 def cmd_build_tensor(args) -> int:
     factors = []
     for path in args.factors:
@@ -186,12 +154,8 @@ def cmd_build_tensor(args) -> int:
             raise CliError(
                 f'{path}: tensor factors must be {LOOP_EQ} modules, '
                 f'got {stated.algebra_id}')
-        rebuilt = _rebuild_loop(stated.provenance, stated.ctx,
-                                stated.dimension)
-        if rebuilt.gens != stated.gens:
-            raise CliError(
-                f'{path}: matrices do not match their provenance')
-        factors.append(rebuilt)
+        factors.append(
+            certify(stated, lambda msg: CliError(f'{path}: {msg}')))
     _emit_module(tensor_modules(*factors), args.out)
     return EXIT_PASS
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from qtetra.exactla import (
+    ExactMatrix,
     intertwiner_space,
     invertible_witness,
     matrix_from_flat,
@@ -75,14 +76,17 @@ def negate(mod: MatrixRep) -> MatrixRep:
 def isomorphic(a: MatrixRep, b: MatrixRep):
     """An invertible intertwiner between two modules, or None.
 
-    The search is exact for intertwiner spaces of dimension <= 1 (the
-    irreducible case); for larger spaces a handful of deterministic
+    Modules with equal matrices are isomorphic through the identity.
+    Otherwise the search is exact for intertwiner spaces of dimension <= 1
+    (the irreducible case); for larger spaces a handful of deterministic
     combinations is tried and a miss returns None.
     """
     if a.algebra_id != b.algebra_id:
         raise DualityError('cannot compare modules of different algebras')
     if a.dimension != b.dimension:
         return None
+    if a.gens == b.gens:
+        return ExactMatrix.identity(a.ctx, a.dimension)
     space = intertwiner_space(a.gens, b.gens)
     return invertible_witness(space, a.dimension)
 

@@ -76,11 +76,6 @@ class IrreducibilityCertificate:
     def full(self) -> bool:
         return self.closure_dim == self.dimension ** 2
 
-    def to_dict(self) -> dict:
-        return {'dimension': self.dimension,
-                'closure_dim': self.closure_dim,
-                'full': self.full}
-
 
 def pair_profile(X: ExactMatrix, Y: ExactMatrix) -> AqPairProfile:
     """Stage 1: certify the type-(1,1) spectra and read off the diameter."""

@@ -11,10 +11,14 @@ The chain of constructions:
   K_0 = K^-1, e_0^+ = t e^-, e_0^- = t^-1 e^+, and applying the equitable
   substitution to both families yields a six-generator loop module
   (``evaluation_module``);
+* the substitution inverts on any loop module, because x0 x1 = 1: family
+  i is K = x_i, K^-1 = x_(1-i), e^- = y_i - x_(1-i) and
+  e^+ = (1 - x_i z_i)/(q(q - q^-1)^2) (``_families``), so a module read
+  from a file carries the same Chevalley data as one built in memory;
 * loop modules tensor through the comultiplication
   Delta(K) = K (x) K, Delta(e^+) = e^+ (x) 1 + K (x) e^+,
-  Delta(e^-) = e^- (x) K^-1 + 1 (x) e^-, applied family by family before
-  the equitable substitution (``tensor_modules``);
+  Delta(e^-) = e^- (x) K^-1 + 1 (x) e^-, applied to the families of both
+  factors before the equitable substitution (``tensor_modules``);
 * the matrices of y1 and y0 form a pair satisfying the two cubic q-Serre
   relations (``aq_pair_of``); such pairs are the reconstruction input.
 
@@ -62,10 +66,11 @@ class EvaluationParams:
 class MatrixRep:
     """A concrete module: one square matrix per generator label.
 
-    ``provenance`` is a JSON-ready description of how the module was built.
-    ``aux`` carries non-serialized construction data; builders that start
-    from ladders store per-family Chevalley matrices there so that tensor
-    products can be formed later.
+    ``provenance`` is a JSON-ready description of how the module was built;
+    it is copied into derived modules and never interpreted.  ``aux`` is
+    never serialized: a reconstructed module keeps the Burnside certificate
+    and relation report it was accepted with under ``'irreducibility'`` and
+    ``'relations'``; every other module leaves it empty.
     """
 
     algebra_id: str
@@ -120,31 +125,38 @@ def _equitable_triple(ctx, K, K_inv, ep, em):
     return K, y, z
 
 
+def _families(rep: MatrixRep) -> dict:
+    """The two Chevalley families (K, K^-1, e^+, e^-) of a loop module,
+    read off its matrices: the inverse of ``_equitable_triple``."""
+    ctx, gens = rep.ctx, rep.gens
+    w = ctx.q_power(1) - ctx.q_power(-1)
+    scale = ctx.one / (ctx.q_power(1) * w * w)
+    ident = ExactMatrix.identity(ctx, rep.dimension)
+    families = {}
+    for i in (0, 1):
+        K, K_inv = gens[f'x{i}'], gens[f'x{1 - i}']
+        ep = (ident - K * gens[f'z{i}']).scale(scale)
+        families[i] = (K, K_inv, ep, gens[f'y{i}'] - K_inv)
+    return families
+
+
 def uqsl2_equitable_module(d: int, ctx: FieldContext = SYMBOLIC) -> MatrixRep:
     """The (d+1)-dimensional equitable module on generators x, x_inv, y, z."""
     data = standard_uq_data(ctx, d)
     x, y, z = _equitable_triple(ctx, data.K, data.K_inv,
                                 data.e_plus, data.e_minus)
-    rep = MatrixRep(
-        UQSL2_EQ, ctx,
-        {'x': x, 'x_inv': data.K_inv, 'y': y, 'z': z},
-        provenance={'kind': 'uqsl2_equitable', 'd': d},
-        aux={'chevalley': data})
-    return certify(rep)
+    return certify(MatrixRep(UQSL2_EQ, ctx,
+                             {'x': x, 'x_inv': data.K_inv, 'y': y, 'z': z},
+                             provenance={'kind': 'uqsl2_equitable', 'd': d}))
 
 
 def _loop_from_families(ctx, families, provenance) -> MatrixRep:
     """Apply the equitable substitution to both Chevalley families."""
     gens = {}
     for i in (0, 1):
-        K, K_inv, ep, em = families[i]
-        x, y, z = _equitable_triple(ctx, K, K_inv, ep, em)
-        gens[f'x{i}'] = x
-        gens[f'y{i}'] = y
-        gens[f'z{i}'] = z
-    rep = MatrixRep(LOOP_EQ, ctx, gens, provenance=provenance,
-                    aux={'families': families})
-    return certify(rep)
+        gens[f'x{i}'], gens[f'y{i}'], gens[f'z{i}'] = _equitable_triple(
+            ctx, *families[i])
+    return certify(MatrixRep(LOOP_EQ, ctx, gens, provenance=provenance))
 
 
 def evaluation_module(params: EvaluationParams,
@@ -180,22 +192,18 @@ def _tensor_family(ident_a, ident_b, fam_a, fam_b):
 
 
 def tensor_modules(a: MatrixRep, b: MatrixRep) -> MatrixRep:
-    """Tensor product of two loop modules carrying Chevalley data."""
+    """Tensor product of two loop modules."""
     for rep in (a, b):
         if rep.algebra_id != LOOP_EQ:
             raise RepError('tensor factors must be loop modules')
-        if 'families' not in rep.aux:
-            raise RepError('tensor factor lacks Chevalley data')
     if a.ctx != b.ctx:
         raise RepError('tensor factors use different field contexts')
     ctx = a.ctx
     ident_a = ExactMatrix.identity(ctx, a.dimension)
     ident_b = ExactMatrix.identity(ctx, b.dimension)
-    families = {
-        i: _tensor_family(ident_a, ident_b,
-                          a.aux['families'][i], b.aux['families'][i])
-        for i in (0, 1)
-    }
+    fam_a, fam_b = _families(a), _families(b)
+    families = {i: _tensor_family(ident_a, ident_b, fam_a[i], fam_b[i])
+                for i in (0, 1)}
     provenance = {'kind': 'tensor',
                   'factors': [a.provenance, b.provenance]}
     return _loop_from_families(ctx, families, provenance)

@@ -33,7 +33,7 @@ from qtetra.repbuilder import (
     tensor_modules,
 )
 from qtetra.reconstruct import reconstruct_boxq
-from qtetra.scalars import SYMBOLIC
+from qtetra.scalars import SYMBOLIC, specialized
 from test_exactla import (
     Q2,
     all_equations_intertwiner_space,
@@ -153,6 +153,18 @@ def test_eightfold_trivial_module():
     table = eightfold_comparison(boxq_module(0, 1))
     assert table.labels == EIGHTFOLD_LABELS
     assert all(all(row) for row in table.isomorphic)
+
+
+@pytest.mark.parametrize('ctx', [SYMBOLIC, specialized(2)],
+                         ids=['symbolic', 'q=2'])
+def test_eightfold_of_equal_twists(ctx):
+    # all eight generators the 3 x 3 identity: a valid, reducible module
+    # whose twists and duals are all the same module, entrywise
+    one = ExactMatrix.identity(ctx, 3)
+    mod = MatrixRep(BOXQ, ctx, {g: one for g in GENERATORS[BOXQ]})
+    assert mod.check().passed
+    assert isomorphic(mod, twist_rho(mod, 1)) == one
+    assert all(all(row) for row in eightfold_comparison(mod).isomorphic)
 
 
 def test_eightfold_structure():

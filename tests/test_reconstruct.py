@@ -153,7 +153,6 @@ def test_irreducibility_certificates():
     small = irreducible_pair(diag, diag)
     assert not small.full
     assert small.closure_dim == 2
-    assert small.to_dict()['full'] is False
 
 
 def test_roundtrip_small_modules():

@@ -14,6 +14,7 @@ from qtetra.repbuilder import (
     EvaluationParams,
     MatrixRep,
     RepError,
+    _families,
     aq_pair_of,
     evaluation_module,
     standard_uq_data,
@@ -21,6 +22,8 @@ from qtetra.repbuilder import (
     uqsl2_equitable_module,
 )
 from qtetra.scalars import SYMBOLIC, specialized
+
+Q2 = specialized(2)
 
 CTX = SYMBOLIC
 Q = CTX.q
@@ -174,15 +177,66 @@ def test_tensor_resonant_parameters_reducible():
 
 
 def test_tensor_requires_chevalley_data():
+    # the Chevalley data is read off the matrices, so a bare module
+    # carrying only its generators tensors like the built one
     a = evaluation_module(EvaluationParams(1, 1))
     bare = MatrixRep(a.algebra_id, a.ctx, dict(a.gens))
-    with pytest.raises(RepError):
-        tensor_modules(a, bare)
+    assert tensor_modules(a, bare).gens == tensor_modules(a, a).gens
     with pytest.raises(RepError):
         tensor_modules(uqsl2_equitable_module(1), a)
     with pytest.raises(RepError):
         tensor_modules(a, evaluation_module(EvaluationParams(1, 2),
                                             specialized(3)))
+
+
+def ladder_families(ctx, d, t):
+    """Both Chevalley families of an evaluation module, from the ladder:
+    family 1 is the ladder, family 0 is (K^-1, K, t e^-, t^-1 e^+)."""
+    data = standard_uq_data(ctx, d)
+    t = ctx.coerce(t)
+    return {1: (data.K, data.K_inv, data.e_plus, data.e_minus),
+            0: (data.K_inv, data.K, data.e_minus.scale(t),
+                data.e_plus.scale(ctx.one / t))}
+
+
+def coproduct_families(fam_a, fam_b):
+    """Delta(K) = K (x) K, Delta(e^+) = e^+ (x) 1 + K (x) e^+,
+    Delta(e^-) = e^- (x) K^-1 + 1 (x) e^-, family by family."""
+    out = {}
+    for i in (0, 1):
+        Ka, Ka_inv, epa, ema = fam_a[i]
+        Kb, Kb_inv, epb, emb = fam_b[i]
+        one_a = ExactMatrix.identity(Ka.ctx, Ka.rows)
+        one_b = ExactMatrix.identity(Kb.ctx, Kb.rows)
+        out[i] = (Ka.kron(Kb), Ka_inv.kron(Kb_inv),
+                  epa.kron(one_b) + Ka.kron(epb),
+                  ema.kron(Kb_inv) + one_a.kron(emb))
+    return out
+
+
+@pytest.mark.parametrize('ctx, d, t', [
+    (SYMBOLIC, d, t) for d in range(3) for t in (1, 'q', 'q + 1')
+] + [(Q2, d, t) for d in range(5) for t in (1, 3, '1/2')])
+def test_families_recover_evaluation_ladders(ctx, d, t):
+    rep = evaluation_module(EvaluationParams(d, t), ctx)
+    assert _families(rep) == ladder_families(ctx, d, t)
+
+
+@pytest.mark.parametrize('ctx, factors', [
+    (SYMBOLIC, [(1, 1), (1, 'q + 1')]),
+    (SYMBOLIC, [(2, 'q'), (1, 1)]),
+    (SYMBOLIC, [(1, 1), (1, 'q^2'), (0, 'q')]),
+    (Q2, [(2, 3), (3, '1/2')]),
+    (Q2, [(1, 1), (2, 3), (1, '1/2')]),
+])
+def test_families_recover_tensor_coproducts(ctx, factors):
+    rep = evaluation_module(EvaluationParams(*factors[0]), ctx)
+    expected = ladder_families(ctx, *factors[0])
+    for d, t in factors[1:]:
+        rep = tensor_modules(
+            rep, evaluation_module(EvaluationParams(d, t), ctx))
+        expected = coproduct_families(expected, ladder_families(ctx, d, t))
+    assert _families(rep) == expected
 
 
 def test_tensor_strictly_associative():

@@ -23,6 +23,18 @@ def _tracing_module():
     return module
 
 
+def _names_by_command(tracer) -> dict:
+    """Span names grouped by the command span they run under."""
+    # span: [id, parent, name, ...]
+    seen = {}
+    for span in tracer.spans:
+        root = span
+        while root[1] is not None:
+            root = tracer.spans[root[1]]
+        seen.setdefault(root[2], set()).add(span[2])
+    return seen
+
+
 def test_tracer_patch_points_exist():
     before = (cli.read_document, vars(scalars.FieldContext)['parse'],
               vars(fileformat.ModuleFile)['to_module'])
@@ -51,14 +63,25 @@ def test_tracer_sees_every_layer_of_reconstruct_and_dualities(tmp_path):
                          '--out', str(tmp_path / 'eight.json')]) == 0
     finally:
         tracer.uninstall()
-    # span: [id, parent, name, ...]; group names by their command's span
-    seen = {'cli.reconstruct': set(), 'cli.dualities': set()}
-    for span in tracer.spans:
-        root = span
-        while root[1] is not None:
-            root = tracer.spans[root[1]]
-        seen[root[2]].add(span[2])
+    seen = _names_by_command(tracer)
+    assert set(seen) == {'cli.reconstruct', 'cli.dualities'}
     assert {'reconstruct.eigenvalues', 'modanalysis.opposite',
             'presentations.check'} <= seen['cli.reconstruct']
     assert {'presentations.check', 'dualities.transform',
             'exactla.intertwiner'} <= seen['cli.dualities']
+
+
+def test_tracer_sees_the_build_path(tmp_path):
+    ev = str(tmp_path / 'ev.json')
+    assert cli.main(['build', 'evaluation', '--d', '1', '--t', 'q',
+                     '--out', ev]) == 0
+    tracer = _tracing_module().Tracer()
+    try:
+        tracer.install()
+        assert cli.main(['build', 'tensor', ev, ev,
+                         '--out', str(tmp_path / 'tensor.json')]) == 0
+    finally:
+        tracer.uninstall()
+    seen = _names_by_command(tracer)
+    assert set(seen) == {'cli.build'}
+    assert {'repbuilder.build', 'presentations.check'} <= seen['cli.build']
