@@ -138,7 +138,9 @@ class BilinearFormCandidate:
     """Outcome of the invariant-form search.
 
     ``gram`` is None when the solution space is zero; otherwise it is one
-    solution (an invertible one if any of the tried candidates is).
+    solution: an invertible one if any of the tried candidates is, else the
+    identity when every transpose(M(x_ij)) equals M(omega(x_ij)), else the
+    first basis vector of the solution space.
     """
 
     gram: object
@@ -168,6 +170,8 @@ def omega_form(mod: MatrixRep) -> BilinearFormCandidate:
     if space.is_zero():
         return BilinearFormCandidate(None, False, False, 0)
     gram = invertible_witness(space, n)
+    if gram is None and transposed == twisted:
+        gram = ExactMatrix.identity(mod.ctx, n)
     if gram is None:
         gram = matrix_from_flat(mod.ctx, list(space.basis[0]), n)
     nondegenerate = gram.rank() == n

@@ -205,30 +205,18 @@ def specialize_matrix(m: ExactMatrix, ctx: FieldContext) -> ExactMatrix:
 
 
 def _rref(ctx, rows):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    The rows go through one ``_Echelon``; the reduced form is unique, so
+    the insertion order does not matter.
+    """
+    rows = list(rows)
     if not rows:
         return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ctx.one / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        lead = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    ech = _Echelon(ctx, len(rows[0]))
+    for row in rows:
+        ech.insert(row)
+    return ech.reduced_rows()
 
 
 class _Echelon:
@@ -268,10 +256,7 @@ class _Echelon:
 
 def _nullspace_vectors(ctx, rows, ncols):
     """Canonical-form basis of {x : Rx = 0} for the given equation rows."""
-    ech = _Echelon(ctx, ncols)
-    for row in rows:
-        ech.insert(row)
-    reduced, pivots = ech.reduced_rows()
+    reduced, pivots = _rref(ctx, rows)
     pivot_set = set(pivots)
     vecs = []
     for free in range(ncols):
@@ -306,7 +291,7 @@ class Subspace:
         vectors = [list(v) for v in vectors]
         if any(len(v) != ambient_dim for v in vectors):
             raise LinAlgError('vector length does not match ambient dimension')
-        rows, pivots = _rref(ctx, vectors) if vectors else ([], [])
+        rows, pivots = _rref(ctx, vectors)
         return cls(ctx, ambient_dim, tuple(tuple(r) for r in rows),
                    tuple(pivots))
 

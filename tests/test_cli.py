@@ -454,6 +454,42 @@ def test_analyze_chain_of_negated_module(tmp_path, capsys):
             in capsys.readouterr().out.splitlines())
 
 
+@pytest.mark.parametrize('q_args', [(), ('--q', '2')],
+                         ids=['symbolic', 'q=2'])
+def test_analyze_mixed_diameters(tmp_path, capsys, q_args):
+    # x12 has diameter 1 and the other generators diameter 2: the action
+    # tables report violations instead of raising IndexError
+    ctx = SYMBOLIC
+    big = ExactMatrix.diagonal(ctx, [ctx.q_power(2), ctx.one,
+                                     ctx.q_power(-2)])
+    gens = {g: big for g in GENERATORS['BOXQ']}
+    gens['x12'] = ExactMatrix.diagonal(ctx, [ctx.q, ctx.q,
+                                             ctx.q_power(-1)])
+    path = str(tmp_path / 'mixed.json')
+    with open(path, 'w') as handle:
+        handle.write(ModuleFile.from_module(
+            MatrixRep('BOXQ', ctx, gens)).to_json())
+    assert run('analyze', path, '--format', 'json', *q_args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ''
+    report = json.loads(captured.out)
+    assert (report['d'], report['shape']) == (2, [1, 1, 1])
+    assert report['shape_uniform'] is False
+    assert report['table_check']['d'] == 2
+    assert report['table_check']['violations']
+    assert report['table_check']['spectrum_failures'] == []
+    assert 'error' in report['flag_oppositeness']['pairs']
+    assert 'passed' in report['dimension_chains']
+    assert report['passed'] is False
+    assert run('analyze', path, '--format', 'text', *q_args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ''
+    lines = captured.out.splitlines()
+    assert lines[0] == 'epsilon: 1'
+    assert lines[5].startswith('action tables: FAIL (')
+    assert lines[-1] == 'overall: FAIL'
+
+
 def test_analyze_detects_each_generator_once(monkeypatch, capsys):
     calls = []
     detect = modanalysis.detect_type_diameter

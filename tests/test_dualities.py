@@ -167,6 +167,19 @@ def test_eightfold_of_equal_twists(ctx):
     assert all(all(row) for row in eightfold_comparison(mod).isomorphic)
 
 
+@pytest.mark.parametrize('ctx', [SYMBOLIC, specialized(2)],
+                         ids=['symbolic', 'q=2'])
+def test_omega_form_of_self_transposed_module(ctx):
+    # every transpose(M(g)) equals M(omega(g)), so the identity is an
+    # invariant form, though no candidate of invertible_witness is
+    one = ExactMatrix.identity(ctx, 3)
+    mod = MatrixRep(BOXQ, ctx, {g: one for g in GENERATORS[BOXQ]})
+    cand = omega_form(mod)
+    assert cand.solution_space_dim == 9
+    assert cand.symmetric and cand.nondegenerate
+    assert cand.gram == one
+
+
 def test_eightfold_structure():
     # the table contents are emitted as data; only structural properties
     # are asserted (reflexive, symmetric, rho^4-periodic)

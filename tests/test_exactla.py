@@ -22,6 +22,7 @@ from qtetra.exactla import (
     subspace_sum,
     Subspace,
     _nullspace_vectors,
+    _rref,
 )
 from qtetra.dualities import negate
 from qtetra.reconstruct import reconstruct_boxq
@@ -458,3 +459,77 @@ def closure_inputs(draw):
 @given(closure_inputs())
 def test_algebra_closure_matches_rank_oracle(gens):
     assert algebra_closure_dim(gens) == _closure_oracle(gens)
+
+
+# -- _rref through _Echelon against the batch elimination ------------------
+
+def reference_rref(ctx, rows):
+    """Reference: batch Gauss-Jordan, one pivot column at a time."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = ctx.one / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        lead = rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+SYMBOLIC_ENTRIES = ('0', '0', '1', '-1', '2', 'q', '(1)/(q)', 'q + 1',
+                    'q^2 - 1', '(q - 1)/(q + 1)')
+
+
+@st.composite
+def rref_inputs(draw):
+    """Rows over q = 2 or Q(q): a plain or rank-deficient (product of a
+    thinner pair) matrix, the Zassenhaus stack [v|v] over [w|0], or an
+    augmented [A|I]."""
+    if draw(st.booleans()):
+        ctx, entries = Q2, st.integers(min_value=-3, max_value=3)
+        size = st.integers(min_value=1, max_value=4)
+    else:
+        ctx, entries = CTX, st.sampled_from(SYMBOLIC_ENTRIES)
+        size = st.integers(min_value=1, max_value=3)
+
+    def block(rows, cols):
+        return ExactMatrix.from_rows(ctx, [
+            [draw(entries) for _ in range(cols)] for _ in range(rows)])
+
+    m, k = draw(size), draw(size)
+    shape = draw(st.sampled_from(['plain', 'deficient', 'zassenhaus',
+                                  'augmented']))
+    if shape == 'plain':
+        return ctx, block(m, k).data
+    if shape == 'deficient':
+        r = draw(st.integers(min_value=1, max_value=max(1, min(m, k) - 1)))
+        return ctx, (block(m, r) * block(r, k)).data
+    if shape == 'zassenhaus':
+        vs, ws = block(m, k).data, block(draw(size), k).data
+        return ctx, ([v + v for v in vs]
+                     + [w + [ctx.zero] * k for w in ws])
+    a = block(m, m)
+    ident = ExactMatrix.identity(ctx, m)
+    return ctx, [ra + ri for ra, ri in zip(a.data, ident.data)]
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rref_inputs())
+def test_rref_matches_batch_reference(case):
+    ctx, rows = case
+    assert _rref(ctx, rows) == reference_rref(ctx, rows)

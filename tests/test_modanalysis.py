@@ -43,7 +43,8 @@ from qtetra.repbuilder import (
 )
 from qtetra.reconstruct import reconstruct_boxq
 from qtetra.scalars import SYMBOLIC
-from test_exactla import Q2, invertible_matrices
+from test_dualities import q2_modules_maybe_corrupted
+from test_exactla import Q2, boxq_q2, invertible_matrices
 
 CTX = SYMBOLIC
 Q = CTX.q
@@ -452,6 +453,114 @@ def test_action_tables_moved_eigenspaces():
     blob = report.to_dict()
     assert blob['passed'] is False
     assert blob['violations'] == [list(v) for v in report.violations]
+
+
+# -- the membership test against the coordinate-block check ---------------
+
+class _DecCoords:
+    """A decomposition with coordinates in its concatenated eigenbasis."""
+
+    def __init__(self, dec):
+        columns = []
+        blocks = []
+        for k in range(dec.d + 1):
+            vectors = dec.component(k).vectors()
+            blocks.append((len(columns), len(columns) + len(vectors)))
+            columns.extend(vectors)
+        self.dec = dec
+        self.blocks = tuple(blocks)
+        self.inv = ExactMatrix.from_columns(dec.ctx, columns).inverse()
+
+
+def _reference_image_inside(ctx, op, shift, coords, n, allowed, d):
+    if shift == 'high':
+        op = op.minus_scalar(ctx.q_power(d - 2 * n))
+    elif shift == 'low':
+        op = op.minus_scalar(ctx.q_power(2 * n - d))
+    allowed_set = {k for k in allowed(n, d) if 0 <= k <= d}
+    excluded = [coords.blocks[m] for m in range(d + 1)
+                if m not in allowed_set]
+    for v in coords.dec.component(n).vectors():
+        w = coords.inv.apply(op.apply(v))
+        for lo, hi in excluded:
+            if any(w[r] for r in range(lo, hi)):
+                return False
+    return True
+
+
+def reference_check_action_tables(spectra):
+    """Reference: coordinates in each decomposition's eigenbasis, and a
+    zero test on the blocks of the excluded components.  Raises
+    IndexError when a decomposition's diameter is below x01's."""
+    mod = spectra.mod
+    ctx = mod.ctx
+    decs = {}
+    failures = []
+    for i, j in modanalysis._LABEL_PAIRS:
+        label = modanalysis.boxq_label(i, j)
+        try:
+            decs[label] = _DecCoords(decomposition_ij(spectra, i, j))
+        except AnalysisError:
+            failures.append(label)
+    if failures:
+        return modanalysis.TableReport(-1, (), tuple(failures))
+    d = decs['x01'].dec.d
+    violations = []
+    tables = ((1, modanalysis._TABLE1, 1), (2, modanalysis._TABLE2, 2))
+    for table_no, table, op_offset in tables:
+        for i in range(4):
+            op = mod.gens[modanalysis.boxq_label(i, i + op_offset)]
+            for (a, b), shift, allowed in table:
+                coords = decs[modanalysis.boxq_label(i + a, i + b)]
+                for n in range(coords.dec.d + 1):
+                    if not _reference_image_inside(ctx, op, shift, coords,
+                                                   n, allowed, d):
+                        violations.append(
+                            (table_no, modanalysis._row_name(a, b), i, n))
+    return modanalysis.TableReport(d, tuple(violations), ())
+
+
+@st.composite
+def q2_mixed_diameter_modules(draw):
+    """Eight semisimple type-1 q = 2 generators on Q^n, n <= 4, each
+    P D P^-1 with its own diameter: D holds every 2^(d-2k), k = 0..d, at
+    least once, and P is unimodular or the identity."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    gens = {}
+    for g in GENERATORS[BOXQ]:
+        d = draw(st.integers(min_value=0, max_value=n - 1))
+        extra = draw(st.lists(st.integers(min_value=0, max_value=d),
+                              min_size=n - d - 1, max_size=n - d - 1))
+        ks = sorted(list(range(d + 1)) + extra)
+        diag = ExactMatrix.diagonal(
+            Q2, [Q2.coerce(Fraction(2) ** (d - 2 * k)) for k in ks])
+        if draw(st.booleans()):
+            p = draw(invertible_matrices(n))
+            diag = p * diag * p.inverse()
+        gens[g] = diag
+    return MatrixRep(BOXQ, Q2, gens)
+
+
+TABLE_INPUTS = st.one_of(
+    st.builds(boxq_q2, st.integers(min_value=0, max_value=3),
+              st.sampled_from(['1', '3', '1/2'])),
+    q2_modules_maybe_corrupted(),
+    q2_mixed_diameter_modules())
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(TABLE_INPUTS)
+def test_action_tables_match_reference(mod):
+    spectra = ModuleSpectra(mod)
+    report = check_action_tables(spectra)
+    try:
+        expected = reference_check_action_tables(spectra)
+    except IndexError:
+        # the reference indexes past a shorter decomposition's blocks
+        assert isinstance(report, modanalysis.TableReport)
+        return
+    assert report == expected
 
 
 def test_dimension_chain_small():
